@@ -60,7 +60,6 @@ from .quadrature import (
     oracle_weighted_integral_1d,
 )
 from .smoothing import (
-    SmoothingConfig,
     convolve,
     convolve_field,
     pipeline_rho,

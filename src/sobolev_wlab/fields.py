@@ -11,7 +11,7 @@ numerically.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -205,7 +205,16 @@ def singular_spike_field(gamma: float, R: float, space: SpaceParams) -> ScalarFi
     )
 
 
-_CATALOG_IDS = ("zero", "gaussian", "smooth_bump", "hat_1d", "polynomial_tail", "singular_spike")
+# parameters of each catalog id, with their defaults (None: required)
+_CATALOG_PARAMS = {
+    "zero": {},
+    "gaussian": {},
+    "smooth_bump": {"R": 1.0},
+    "hat_1d": {},
+    "polynomial_tail": {"gamma": None},
+    "singular_spike": {"gamma": None, "R": 1.0},
+}
+_CATALOG_IDS = tuple(_CATALOG_PARAMS)
 
 _FIELD_SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
@@ -231,21 +240,27 @@ def parse_field_spec(text: str) -> tuple[str, dict]:
 
 def make_field(name: str, space: Optional[SpaceParams] = None, **kwargs) -> ScalarField:
     """Construct a catalog field by id.  ``space`` is required for singular_spike."""
+    if name not in _CATALOG_PARAMS:
+        raise UnknownCatalogId(f"unknown catalog id {name!r} (known: {', '.join(_CATALOG_IDS)})")
+    known = _CATALOG_PARAMS[name]
+    args = {**known, **kwargs}
+    if set(args) != set(known) or None in args.values():
+        takes = ", ".join(k if v is None else f"{k}={v}" for k, v in known.items())
+        given = ", ".join(f"{k}={v}" for k, v in kwargs.items())
+        raise UnknownCatalogId(f"field {name} takes the parameters ({takes}), got ({given})")
     if name == "zero":
         return zero_field()
     if name == "gaussian":
         return gaussian_field()
     if name == "smooth_bump":
-        return smooth_bump_field(R=kwargs.pop("R", 1.0))
+        return smooth_bump_field(R=args["R"])
     if name == "hat_1d":
         return hat_1d_field()
     if name == "polynomial_tail":
-        return polynomial_tail_field(gamma=kwargs.pop("gamma"))
-    if name == "singular_spike":
-        if space is None:
-            raise ParameterOutOfRange("singular_spike needs space parameters for its exponent cap")
-        return singular_spike_field(kwargs.pop("gamma"), kwargs.pop("R", 1.0), space)
-    raise UnknownCatalogId(f"unknown catalog id {name!r} (known: {', '.join(_CATALOG_IDS)})")
+        return polynomial_tail_field(gamma=args["gamma"])
+    if space is None:
+        raise ParameterOutOfRange("singular_spike needs space parameters for its exponent cap")
+    return singular_spike_field(args["gamma"], args["R"], space)
 
 
 def field_from_spec(text: str, space: Optional[SpaceParams] = None) -> ScalarField:

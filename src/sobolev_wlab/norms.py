@@ -8,6 +8,7 @@ bit-exactly under common random numbers (same spec, same seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .quadrature import (
     estimate_weighted_integral_Rn,
     oracle_pair_integral_1d,
     oracle_weighted_integral_1d,
+    pin_outer_radius,
     resolve_outer_radius,
     tensor_oracle_1d_available,
 )
@@ -68,9 +70,11 @@ def _root(est: Estimate, power: float) -> Estimate:
 
 
 def _pair_power_integral(v: PairField, params: SpaceParams, alpha: float, beta: float,
-                         spec: QuadratureSpec) -> Estimate:
-    """Raw integral iint |v|^p |x|^(-alpha) |y|^(-beta) dx dy."""
+                         spec: QuadratureSpec, label: Optional[str] = None) -> Estimate:
+    """Raw integral iint |v|^p |x|^(-alpha) |y|^(-beta) dx dy, by the tensor
+    oracle or by Monte Carlo as the spec says; ``label`` keys the digest."""
     p = params.p
+    label = label or f"|{v.label}|^{p}"
 
     def g(x, y):
         return np.abs(v(x, y)) ** p
@@ -80,12 +84,12 @@ def _pair_power_integral(v: PairField, params: SpaceParams, alpha: float, beta: 
         x_max = resolve_outer_radius(spec, v.x_support_radius)
         return oracle_pair_integral_1d(
             g, alpha, beta, x_max=x_max, z_max=2.0 * x_max,
-            grid_points=spec.grid_points, label=f"|{v.label}|^{p}", spec=spec,
+            grid_points=spec.grid_points, label=label, spec=spec,
         )
     kappa = spec.near_exponent if spec.near_exponent is not None else params.p * (1.0 - params.s)
     return estimate_pair_integral_singular(
         g, n=params.n, alpha=alpha, beta=beta, sp=params.sp, spec=spec,
-        x_support_radius=v.x_support_radius, kappa=kappa, label=f"|{v.label}|^{p}",
+        x_support_radius=v.x_support_radius, kappa=kappa, label=label,
     )
 
 
@@ -107,27 +111,9 @@ def seminorm_general(
     spec: QuadratureSpec,
 ) -> Estimate:
     """Two-weight seminorm energy (the raw double integral, no 1/p root)."""
-    p, n, sp = params.p, params.n, params.sp
-    kernel_exp = n + sp
-
-    def g(x, y):
-        d = np.linalg.norm(x - y, axis=-1)
-        off = d > 0.0
-        dd = np.where(off, d, 1.0)
-        vals = np.abs(u(x) - u(y)) ** p * dd ** (-kernel_exp)
-        return np.where(off, vals, 0.0)
-
-    if spec.method == METHOD_TENSOR_ORACLE:
-        tensor_oracle_1d_available(n)
-        x_max = resolve_outer_radius(spec, u.support_radius)
-        return oracle_pair_integral_1d(
-            g, gw.alpha, gw.beta, x_max=x_max, z_max=2.0 * x_max,
-            grid_points=spec.grid_points, label=f"general[{u.label}]", spec=spec,
-        )
-    kappa = spec.near_exponent if spec.near_exponent is not None else p * (1.0 - params.s)
-    return estimate_pair_integral_singular(
-        g, n=n, alpha=gw.alpha, beta=gw.beta, sp=sp, spec=spec,
-        x_support_radius=u.support_radius, kappa=kappa, label=f"general[{u.label}]",
+    return _pair_power_integral(
+        lift_difference_quotient(u, params), params, gw.alpha, gw.beta, spec,
+        label=f"general[{u.label}]",
     )
 
 
@@ -146,11 +132,7 @@ def norm_lpstar_a(u: ScalarField, params: SpaceParams, spec: QuadratureSpec) -> 
             label=f"lpstar[{u.label}]", spec=spec,
         )
     else:
-        rspec = spec if spec.outer_radius is not None else QuadratureSpec(
-            method=spec.method, samples=spec.samples, grid_points=spec.grid_points,
-            seed=spec.seed, outer_radius=resolve_outer_radius(spec, u.support_radius),
-            tail_exponent=spec.tail_exponent, near_exponent=spec.near_exponent,
-        )
+        rspec = pin_outer_radius(spec, u.support_radius)
         raw = estimate_weighted_integral_Rn(f, n=n, weight_exponent=b, spec=rspec,
                                             label=f"lpstar[{u.label}]")
     return _root(raw, pstar)

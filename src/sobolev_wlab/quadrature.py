@@ -1,13 +1,14 @@
 """Monte-Carlo estimators for the weighted singular integrals, plus a
 deterministic 1-d tensor-product oracle used as ground truth.
 
-Determinism contract: the sample budget is split into 64 equal chunks;
-chunk k draws from an independent Philox stream keyed by (seed, k), and
-the combining step is a deterministic fold in chunk order.  Two runs with
-the same spec therefore return bit-identical estimates, and the chunks
-may be evaluated in any order or concurrently without changing the
-result.  The reported standard error is the sample standard deviation of
-the chunk means divided by sqrt(64).
+Determinism contract: the sample budget, a multiple of 64, is split into
+64 equal chunks; chunk k draws from an independent Philox stream keyed by
+(seed, k).  Consecutive chunks are evaluated together in groups of at
+most GROUP_POINTS points (always at least one whole chunk), and the chunk
+means are folded in chunk order.  Two runs with the same spec therefore
+return bit-identical estimates, and memory stays bounded at any budget.
+The reported standard error is the sample standard deviation of the
+chunk means divided by sqrt(64).
 
 Importance sampling is by exact radial inverse-CDF draws (power-law
 radial densities are analytically invertible); no rejection sampling is
@@ -20,7 +21,7 @@ Estimate is 0 for that reason.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,9 +33,10 @@ from .errors import (
     QuadratureFailure,
 )
 from .fields import ball_volume, sphere_area
-from .params import SpaceParams
 
 N_CHUNKS = 64
+# most points evaluated in one call of an integrand (a group of chunks)
+GROUP_POINTS = 1 << 16
 
 METHOD_MONTE_CARLO = "monte_carlo"
 METHOD_TENSOR_ORACLE = "tensor_oracle_1d"
@@ -62,6 +64,10 @@ class QuadratureSpec:
             raise ParameterOutOfRange(f"unknown quadrature method {self.method!r}")
         if self.method == METHOD_MONTE_CARLO and self.samples < 1000:
             raise ParameterOutOfRange("Monte Carlo budget must be at least 1000 samples")
+        if self.samples % N_CHUNKS:
+            raise ParameterOutOfRange(
+                f"sample budget {self.samples} is not a multiple of the {N_CHUNKS} chunks"
+            )
         if self.grid_points < 64:
             raise ParameterOutOfRange("oracle grid must have at least 64 points")
         if self.tail_exponent is not None and self.tail_exponent <= 0:
@@ -112,6 +118,14 @@ def resolve_outer_radius(spec: QuadratureSpec, support_radius: float) -> float:
     if np.isfinite(support_radius):
         return max(support_radius, 1.0) + 10.0
     return 50.0
+
+
+def pin_outer_radius(spec: QuadratureSpec, support_radius: float) -> QuadratureSpec:
+    """The spec with its outer radius resolved, so that every estimate made
+    with it draws the same sample stream whatever field it integrates."""
+    if spec.outer_radius is not None:
+        return spec
+    return replace(spec, outer_radius=resolve_outer_radius(spec, support_radius))
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -197,6 +211,33 @@ class _NearFarMixture:
         return 0.5 * q_near + 0.5 * q_far
 
 
+def _fold_chunks(
+    spec: QuadratureSpec,
+    draw: Callable[[np.random.Generator, int], tuple],
+    evaluate: Callable[..., np.ndarray],
+) -> np.ndarray:
+    """Chunk means of ``evaluate`` over the 64 chunks, in chunk order.
+
+    ``draw(rng, m)`` returns a tuple of arrays of m rows each from a chunk's
+    Philox stream.  ``evaluate`` receives the draws of consecutive chunks
+    concatenated, as many as fit in GROUP_POINTS points (all axes but the
+    last of the largest drawn array) and at least one, and returns values
+    whose last axis runs over the rows.
+    """
+    m = spec.samples // N_CHUNKS
+    means, pending, per_group = [], [], 1
+    for k in range(N_CHUNKS):
+        pending.append(draw(_chunk_rng(spec.seed, k), m))
+        if k == 0:
+            points = max(a.size // a.shape[-1] for a in pending[0])
+            per_group = max(1, GROUP_POINTS // points)
+        if len(pending) == per_group or k == N_CHUNKS - 1:
+            vals = evaluate(*(np.concatenate(parts) for parts in zip(*pending)))
+            means.append(vals.reshape(*vals.shape[:-1], len(pending), m).mean(axis=-1))
+            pending = []
+    return np.concatenate(means, axis=-1)
+
+
 def _combine_chunks(chunk_means: np.ndarray, samples_used: int, digest: str) -> Estimate:
     value = float(np.sum(chunk_means) / len(chunk_means))
     stderr = float(np.std(chunk_means, ddof=1) / np.sqrt(len(chunk_means)))
@@ -231,21 +272,19 @@ def estimate_weighted_integral_Rn(
         raise NonNormalizableDensity(
             f"weight exponent {weight_exponent} outside [0, {n})"
         )
-    R = resolve_outer_radius(spec, np.inf) if spec.outer_radius is None else spec.outer_radius
+    R = resolve_outer_radius(spec, np.inf)
     mix = _RadialMixture(n=n, c=weight_exponent, R=R, t=spec.tail_exponent or 1.0)
-    m = spec.samples // N_CHUNKS
     digest = spec.digest(f"Rn:{label}:c={weight_exponent}:n={n}")
 
-    xs = []
-    for k in range(N_CHUNKS):
-        rng = _chunk_rng(spec.seed, k)
+    def draw(rng, m):
         r = mix.sample_radii(rng, m)
-        xs.append(_directions(rng, m, n) * r[:, None])
-    x = np.concatenate(xs, axis=0)
-    r = np.linalg.norm(x, axis=1)
-    vals = integrand(x) * _weight_power(r, weight_exponent) / mix.density(r)
-    chunk_means = vals.reshape(N_CHUNKS, m).mean(axis=1)
-    return _combine_chunks(chunk_means, m * N_CHUNKS, digest)
+        return (_directions(rng, m, n) * r[:, None],)
+
+    def evaluate(x):
+        r = np.linalg.norm(x, axis=1)
+        return integrand(x) * _weight_power(r, weight_exponent) / mix.density(r)
+
+    return _combine_chunks(_fold_chunks(spec, draw, evaluate), spec.samples, digest)
 
 
 def estimate_pair_integral_singular(
@@ -291,40 +330,38 @@ def estimate_pair_integral_singular(
     # ball density follows the stronger weight singularity (valid below n)
     mix_x = _RadialMixture(n=n, c=max(alpha, beta), R=R, t=t_x)
     mix_z = _NearFarMixture(n=n, kappa=kap, t=t_z)
-    m = spec.samples // N_CHUNKS
     digest = spec.digest(f"pair:{label}:a={alpha}:b={beta}:sp={sp}:kap={kap}")
 
-    xs, zs = [], []
-    for k in range(N_CHUNKS):
-        rng = _chunk_rng(spec.seed, k)
+    def draw(rng, m):
         rx = mix_x.sample_radii(rng, m)
-        xs.append(_directions(rng, m, n) * rx[:, None])
+        x = _directions(rng, m, n) * rx[:, None]
         rz = mix_z.sample_radii(rng, m)
-        zs.append(_directions(rng, m, n) * rz[:, None])
-    x = np.concatenate(xs, axis=0)
-    z = np.concatenate(zs, axis=0)
-    rx = np.linalg.norm(x, axis=1)
-    rz = np.linalg.norm(z, axis=1)
-    qz = mix_z.density(rz)
-    qx = mix_x.density(rx)
-    # balance-heuristic combination of the x-anchored pair (x, x+z) and the
-    # swapped y-anchored pair; without it the importance weight blows up on
-    # the strip where one variable is far out and the other sits in the
-    # support (unbounded variance)
-    vals = 0.0
-    for sgn in (1.0, -1.0):  # antithetic pair in z
-        y = x + sgn * z
-        ry = np.linalg.norm(y, axis=1)
-        ry_safe = np.where(ry > 0.0, ry, 1.0)
-        qsum = qz * (qx + mix_x.density(ry))
-        g1 = pair_integrand(x, y)
-        g2 = pair_integrand(y, x)
-        f1 = g1 * rx ** (-alpha) * np.where(ry > 0.0, ry_safe ** (-beta), 0.0)
-        f2 = g2 * np.where(ry > 0.0, ry_safe ** (-alpha), 0.0) * rx ** (-beta)
-        both = np.where(g1 != 0.0, f1, 0.0) + np.where(g2 != 0.0, f2, 0.0)
-        vals = vals + 0.5 * both / qsum
-    chunk_means = vals.reshape(N_CHUNKS, m).mean(axis=1)
-    return _combine_chunks(chunk_means, m * N_CHUNKS, digest)
+        return x, _directions(rng, m, n) * rz[:, None]
+
+    def evaluate(x, z):
+        rx = np.linalg.norm(x, axis=1)
+        rz = np.linalg.norm(z, axis=1)
+        qz = mix_z.density(rz)
+        qx = mix_x.density(rx)
+        # balance-heuristic combination of the x-anchored pair (x, x+z) and
+        # the swapped y-anchored pair; without it the importance weight blows
+        # up on the strip where one variable is far out and the other sits
+        # in the support (unbounded variance)
+        vals = 0.0
+        for sgn in (1.0, -1.0):  # antithetic pair in z
+            y = x + sgn * z
+            ry = np.linalg.norm(y, axis=1)
+            ry_safe = np.where(ry > 0.0, ry, 1.0)
+            qsum = qz * (qx + mix_x.density(ry))
+            g1 = pair_integrand(x, y)
+            g2 = pair_integrand(y, x)
+            f1 = g1 * rx ** (-alpha) * np.where(ry > 0.0, ry_safe ** (-beta), 0.0)
+            f2 = g2 * np.where(ry > 0.0, ry_safe ** (-alpha), 0.0) * rx ** (-beta)
+            both = np.where(g1 != 0.0, f1, 0.0) + np.where(g2 != 0.0, f2, 0.0)
+            vals = vals + 0.5 * both / qsum
+        return vals
+
+    return _combine_chunks(_fold_chunks(spec, draw, evaluate), spec.samples, digest)
 
 
 def ball_average(
@@ -337,17 +374,14 @@ def ball_average(
     """Estimate r^(-n) * int_{B_r} f(z) dz by uniform sampling in the ball."""
     if r <= 0:
         raise ParameterOutOfRange(f"ball radius must be positive, got {r}")
-    m = spec.samples // N_CHUNKS
     digest = spec.digest(f"ball:{label}:r={r}:n={n}")
-    zs = []
-    for k in range(N_CHUNKS):
-        rng = _chunk_rng(spec.seed, k)
+
+    def draw(rng, m):
         radii = r * _guard_unit(rng.random(m)) ** (1.0 / n)
-        zs.append(_directions(rng, m, n) * radii[:, None])
-    z = np.concatenate(zs, axis=0)
-    vals = integrand(z) * ball_volume(n)
-    chunk_means = vals.reshape(N_CHUNKS, m).mean(axis=1)
-    return _combine_chunks(chunk_means, m * N_CHUNKS, digest)
+        return (_directions(rng, m, n) * radii[:, None],)
+
+    chunk_means = _fold_chunks(spec, draw, lambda z: integrand(z) * ball_volume(n))
+    return _combine_chunks(chunk_means, spec.samples, digest)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ grid resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,21 +25,11 @@ from .fields import (
     cutoff_tau_j,
     multiply_cutoff,
 )
+from .quadrature import _graded_half_grid
 
 DEFAULT_CONV_GRID = 256
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    conv_grid: int = DEFAULT_CONV_GRID
-    j: float = 1.0
-    epsilon: float = 0.1
-
-    def __post_init__(self):
-        if self.conv_grid < 32:
-            raise ParameterOutOfRange("convolution grid must have at least 32 radial points")
-        if self.j <= 0 or self.epsilon <= 0:
-            raise ParameterOutOfRange("pipeline scales j and epsilon must be positive")
+# most (point, node) pairs evaluated in one call of the convolved field
+CONV_BLOCK = 1 << 20
 
 
 def truncate(u: ScalarField, j: float, profile: CutoffProfile) -> ScalarField:
@@ -47,30 +37,17 @@ def truncate(u: ScalarField, j: float, profile: CutoffProfile) -> ScalarField:
     return multiply_cutoff(u, cutoff_tau_j(profile, j))
 
 
-def _radial_cells(epsilon: float, m: int):
-    """Mildly graded radial cells on (0, epsilon] (finer toward 0)."""
-    floor = 1e-6 * epsilon
-    q = max((floor / epsilon) ** (1.0 / m), 1.0 / 1.15)
-    bounds = epsilon * q ** np.arange(m, -1, -1)
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    widths = np.diff(bounds)
-    mids = np.concatenate([[0.5 * bounds[0]], mids])
-    widths = np.concatenate([[bounds[0]], widths])
-    return mids, widths
-
-
-_node_cache: dict = {}
-
-
+@lru_cache(maxsize=32)
 def conv_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
     """Quadrature nodes Z (K, n) and weights W (K,) for integration against
-    eta_eps over B_eps, with sum(W) == 1 exactly."""
-    key = (id(profile), float(epsilon), n, m)
-    if key in _node_cache:
-        return _node_cache[key]
+    eta_eps over B_eps, with sum(W) == 1 exactly.
+
+    Cached on the profile itself (a frozen dataclass), which the cache keeps
+    alive, so a new profile never receives the nodes of a freed one."""
     if n != profile.n:
         raise ParameterOutOfRange(f"profile normalized for n={profile.n}, requested n={n}")
-    r, wr = _radial_cells(epsilon, m)
+    # mildly graded radial cells on (0, epsilon], finer toward 0
+    r, wr = _graded_half_grid(epsilon, m, floor=1e-6 * epsilon)
     eta_vals = profile.eta_radial(r / epsilon)  # eps^-n absorbed by normalization below
     if n == 1:
         z = np.concatenate([r, -r])[:, None]
@@ -100,7 +77,7 @@ def conv_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
             f"deterministic convolution is implemented for n <= 3, got n={n}"
         )
     w = w / np.sum(w)  # exact unit mass
-    _node_cache[key] = (z, w)
+    z.flags.writeable = w.flags.writeable = False  # shared by every caller
     return z, w
 
 
@@ -121,10 +98,13 @@ def convolve(
     z, w = conv_nodes(profile, epsilon, n, conv_grid)
     out = np.zeros(x.shape[0])
     active = np.linalg.norm(x, axis=1) <= u.support_radius + epsilon
-    if np.any(active):
-        pts = x[active][:, None, :] - z[None, :, :]  # (ma, K, n)
-        vals = u(pts.reshape(-1, n)).reshape(-1, z.shape[0])
-        out[active] = vals @ w
+    xa = x[active]
+    vals = np.empty(len(xa))
+    block = max(1, CONV_BLOCK // len(w))
+    for start in range(0, len(xa), block):
+        pts = xa[start : start + block, None, :] - z[None, :, :]  # (block, K, n)
+        vals[start : start + block] = u(pts.reshape(-1, n)).reshape(-1, len(w)) @ w
+    out[active] = vals
     return out
 
 
@@ -162,10 +142,13 @@ def star_convolve(
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n = x.shape[-1]
     z, w = conv_nodes(profile, epsilon, n, conv_grid)
-    px = (x[:, None, :] - z[None, :, :]).reshape(-1, n)
-    py = (y[:, None, :] - z[None, :, :]).reshape(-1, n)
-    vals = v(px, py).reshape(-1, z.shape[0])
-    return vals @ w
+    out = np.empty(x.shape[0])
+    block = max(1, CONV_BLOCK // len(w))
+    for start in range(0, x.shape[0], block):
+        px = (x[start : start + block, None, :] - z[None, :, :]).reshape(-1, n)
+        py = (y[start : start + block, None, :] - z[None, :, :]).reshape(-1, n)
+        out[start : start + block] = v(px, py).reshape(-1, len(w)) @ w
+    return out
 
 
 def star_convolve_field(

@@ -10,7 +10,7 @@ choices recorded in every report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -39,19 +39,21 @@ from .params import GeneralWeightParams, SpaceParams, WeightKind, weight_value
 from .quadrature import (
     Estimate,
     FLAG_UNSTABLE,
+    N_CHUNKS,
     QuadratureSpec,
     _RadialMixture,
     _chunk_rng,
     _directions,
+    _fold_chunks,
     _guard_unit,
     ball_average,
     estimate_weighted_integral_Rn,
+    pin_outer_radius,
     resolve_outer_radius,
 )
 from .smoothing import convolve_field, pipeline_rho, star_convolve_field
 
 STABILIZATION_SLACK = 0.05
-STDERR_FRACTION = 0.25
 FINAL_OVER_INITIAL = 0.1
 
 
@@ -112,13 +114,6 @@ def _full_norm_estimate(u: ScalarField, params: SpaceParams, spec: QuadratureSpe
         spec_digest=rep.seminorm.spec_digest,
         flags=tuple(set(rep.seminorm.flags) | set(rep.lpstar.flags)),
     )
-
-
-def _crn_spec(spec: QuadratureSpec, support_radius: float) -> QuadratureSpec:
-    """Pin the outer radius so every ladder entry shares the same sample stream."""
-    if spec.outer_radius is not None:
-        return spec
-    return replace(spec, outer_radius=resolve_outer_radius(spec, support_radius))
 
 
 def _ladder_verdict(ladder: Sequence[float], errors: Sequence[Estimate]) -> tuple[str, float]:
@@ -195,7 +190,7 @@ def check_averaged_weight_bound(
         theta = float(weight_value(kind, params, X))
         f = reciprocal_weight_integrand(kind, params, X)
         est = ball_average(
-            f, n, r, QuadratureSpec(samples=inner_samples * 64, seed=seed + i), label=sid
+            f, n, r, QuadratureSpec(samples=inner_samples * N_CHUNKS, seed=seed + i), label=sid
         )
         products[i] = theta * est.value
         witnesses.append((X, r))
@@ -204,7 +199,7 @@ def check_averaged_weight_bound(
     # maxima overshoot; re-estimate the top candidates of each half with a
     # much larger inner budget so the verdict compares the landscape, not
     # the per-trial noise
-    refine = inner_samples * 64 * 32
+    refine = inner_samples * N_CHUNKS * 32
 
     def _refined_max(indices):
         best_val, best_idx = -np.inf, int(indices[0])
@@ -241,7 +236,7 @@ def check_averaged_weight_bound(
             "kind": kind.value,
             "max_first_half": max_first,
             "unit_ball_volume": ball_volume(n),
-            "inner_samples": inner_samples * 64,
+            "inner_samples": inner_samples * N_CHUNKS,
             "refined_inner_samples": refine,
             "top_candidates_refined": top_k,
             "decades": list(decades),
@@ -273,58 +268,49 @@ def check_maximal_bound(
     exponent = params.a if is_pair else params.b
     R = resolve_outer_radius(spec, V.x_support_radius if is_pair else V.support_radius)
     mix = _RadialMixture(n=n, c=exponent, R=R, t=params.sp)
-    m = spec.samples // 64
 
-    # common random numbers: one fixed batch of outer points for every radius
-    xs, ys, zs_unit = [], [], []
-    for k in range(64):
-        rng = _chunk_rng(spec.seed, k)
-        xs.append(_directions(rng, m, n) * mix.sample_radii(rng, m)[:, None])
-        if is_pair:
-            ys.append(_directions(rng, m, n) * mix.sample_radii(rng, m)[:, None])
-        zs_unit.append(
+    # common random numbers: one fixed batch of outer points for every
+    # radius, and per chunk one batch of unit-ball offsets shared by its points
+    def draw(rng, m):
+        x = _directions(rng, m, n) * mix.sample_radii(rng, m)[:, None]
+        y = _directions(rng, m, n) * mix.sample_radii(rng, m)[:, None] if is_pair else x
+        zu = (
             _directions(rng, inner_samples, n)
             * _guard_unit(rng.random(inner_samples))[:, None] ** (1.0 / n)
         )
-    x = np.concatenate(xs, axis=0)
-    y = np.concatenate(ys, axis=0) if is_pair else None
-    zu = np.concatenate(zs_unit, axis=0).reshape(64, inner_samples, n)
+        return x, y, np.broadcast_to(zu, (m, inner_samples, n))
 
-    rx = np.linalg.norm(x, axis=1)
-    qdens = mix.density(rx)
-    theta_inv = rx ** (-exponent)
-    if is_pair:
-        ry = np.linalg.norm(y, axis=1)
-        qdens = qdens * mix.density(ry)
-        theta_inv = rx ** (-params.a) * ry ** (-params.a)
-
-    def abs_V(px, py=None):
+    def abs_V(px, py):
         return np.abs(V(px, py)) if is_pair else np.abs(V(px))
 
-    rhs_vals = abs_V(x, y) ** q * theta_inv / qdens
-    rhs = float(np.mean(rhs_vals))
-    ratios = {}
-    for r in r_ladder:
-        avgs = np.empty(len(x))
-        for c in range(64):
-            sl = slice(c * m, (c + 1) * m)
-            zc = zu[c] * r  # (inner, n)
-            px = x[sl][:, None, :] - zc[None, :, :]
-            if is_pair:
-                py = y[sl][:, None, :] - zc[None, :, :]
-                vals = abs_V(px.reshape(-1, n), py.reshape(-1, n)).reshape(m, inner_samples)
-            else:
-                vals = abs_V(px.reshape(-1, n)).reshape(m, inner_samples)
-            avgs[sl] = vals.mean(axis=1) * ball_volume(n)
-        lhs = float(np.mean(avgs**q * theta_inv / qdens))
-        ratios[float(r)] = lhs / rhs if rhs > 0 else 0.0
+    def evaluate(x, y, zu):
+        # rows: the plain energy density, then the averaged one per radius
+        rx = np.linalg.norm(x, axis=1)
+        qdens = mix.density(rx)
+        theta_inv = rx ** (-exponent)
+        if is_pair:
+            ry = np.linalg.norm(y, axis=1)
+            qdens = qdens * mix.density(ry)
+            theta_inv = rx ** (-params.a) * ry ** (-params.a)
+        rows = [abs_V(x, y) ** q * theta_inv / qdens]
+        for r in r_ladder:
+            pz = zu * r
+            px = (x[:, None, :] - pz).reshape(-1, n)
+            py = (y[:, None, :] - pz).reshape(-1, n) if is_pair else None
+            avgs = abs_V(px, py).reshape(len(x), -1).mean(axis=1) * ball_volume(n)
+            rows.append(avgs**q * theta_inv / qdens)
+        return np.stack(rows)
+
+    energies = _fold_chunks(spec, draw, evaluate).mean(axis=1)
+    rhs = float(energies[0])
+    ratios = {float(r): float(e) / rhs if rhs > 0 else 0.0 for r, e in zip(r_ladder, energies[1:])}
     measured = max(ratios.values()) if rhs > 0 else 0.0
     finite = all(np.isfinite(v) for v in ratios.values())
     return BoundReport(
         statement_id=statement_id,
         measured_constant=float(measured),
         witness={"r": max(ratios, key=ratios.get) if ratios else None},
-        trials=len(x),
+        trials=spec.samples,
         verdict="BoundedStable" if finite else "Unstable",
         params=params,
         seed=spec.seed,
@@ -354,32 +340,25 @@ def check_star_convolution_bound(
     the field itself, with common random numbers, across an epsilon ladder."""
     is_pair = isinstance(entry, PairField)
     sid = statement_id or ("prop-4.4" if is_pair else "prop-4.5")
-    if is_pair:
-        spec = _crn_spec(spec, entry.x_support_radius)
-        den = _pair_power_integral(entry, params, params.a, params.a, spec)
-    else:
-        spec = _crn_spec(spec, entry.support_radius)
-        pstar, b = params.p_star, params.b
-        den = estimate_weighted_integral_Rn(
-            lambda pts: np.abs(entry(pts)) ** pstar, params.n, b, spec, label=entry.label
+    spec = pin_outer_radius(spec, entry.x_support_radius if is_pair else entry.support_radius)
+
+    def energy(field):
+        if is_pair:
+            return _pair_power_integral(field, params, params.a, params.a, spec)
+        return estimate_weighted_integral_Rn(
+            lambda pts: np.abs(field(pts)) ** params.p_star, params.n, params.b, spec, label=field.label
         )
+
+    den = energy(entry)
     if den.value <= 0.0:
         raise DegenerateDenominator(f"zero denominator energy for {entry.label}")
     ratios = {}
     for eps in eps_ladder:
         if is_pair:
             smoothed = star_convolve_field(entry, profile, eps, conv_grid)
-            num = _pair_power_integral(smoothed, params, params.a, params.a, spec)
         else:
             smoothed = convolve_field(entry, eps, profile, conv_grid)
-            num = estimate_weighted_integral_Rn(
-                lambda pts: np.abs(smoothed(pts)) ** params.p_star,
-                params.n,
-                params.b,
-                spec,
-                label=smoothed.label,
-            )
-        ratios[float(eps)] = num.value / den.value
+        ratios[float(eps)] = energy(smoothed).value / den.value
     vals = list(ratios.values())
     # the claim is a uniform-in-eps energy bound; for a unit-mass mollifier
     # Jensen gives constant 1 up to the weight constant, so the cap is 1.25
@@ -460,7 +439,7 @@ def run_truncation_convergence(
 ) -> ConvergenceReport:
     from .smoothing import truncate
 
-    spec = _crn_spec(spec, u.support_radius)
+    spec = pin_outer_radius(spec, u.support_radius)
     errors = [
         _full_norm_estimate(subtract(u, truncate(u, j, cutoff)), params, spec) for j in j_ladder
     ]
@@ -485,7 +464,7 @@ def run_mollification_convergence(
     mollifier: MollifierProfile,
     conv_grid: int = 128,
 ) -> ConvergenceReport:
-    spec = _crn_spec(spec, u.support_radius)
+    spec = pin_outer_radius(spec, u.support_radius)
     errors = [
         _full_norm_estimate(subtract(u, convolve_field(u, eps, mollifier, conv_grid)), params, spec)
         for eps in eps_ladder
@@ -509,7 +488,7 @@ def run_clipping_convergence(
     M_ladder: Sequence[float],
     spec: QuadratureSpec,
 ) -> ConvergenceReport:
-    spec = _crn_spec(spec, v.x_support_radius)
+    spec = pin_outer_radius(spec, v.x_support_radius)
     errors = []
     for M in M_ladder:
         diff = pair_subtract(v, clip_to_level(v, M))
@@ -544,7 +523,7 @@ def run_density_experiment(
 
     if delta <= 0:
         raise ParameterOutOfRange("delta must be positive")
-    spec = _crn_spec(spec, u.support_radius)
+    spec = pin_outer_radius(spec, u.support_radius)
     j = 1.0
     j_found = None
     trunc_err = None
@@ -613,7 +592,7 @@ def check_finiteness_smooth(
 ) -> dict:
     if u.smoothness != "smooth" or not np.isfinite(u.support_radius):
         raise ParameterOutOfRange("finiteness check needs a smooth compactly supported field")
-    spec = _crn_spec(spec, u.support_radius)
+    spec = pin_outer_radius(spec, u.support_radius)
     entries = []
     unstable = 0
     for gw in gw_grid:
@@ -652,7 +631,7 @@ def check_sobolev_inequality(
     scale_checks = []
 
     def ratio_of(field: ScalarField):
-        sp_ = _crn_spec(spec, field.support_radius)
+        sp_ = pin_outer_radius(spec, field.support_radius)
         semi = seminorm_wspa(field, params, sp_)
         lp = norm_lpstar_a(field, params, sp_)
         if semi.value <= 0.0:

@@ -33,6 +33,13 @@ def test_norm_pass_and_json(tmp_path, capsys):
 def test_range_error_exit_2(capsys):
     assert main(["norm", "--n", "1", "--s", "0.5", "--p", "2", "--a", "0"]) == 2
     assert "s*p < n" in capsys.readouterr().err
+    assert main(["norm", *BASE, "--samples", "1000"]) == 2  # not a multiple of 64 chunks
+
+
+@pytest.mark.parametrize("field", ["polynomial_tail(q=3)", "smooth_bump(X=5)", "polynomial_tail"])
+def test_bad_field_parameters_exit_2(field, capsys):
+    assert main(["norm", *BASE, "--samples", "16000", "--field", field]) == 2
+    assert "parameter" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -101,6 +105,52 @@ def test_norm_report_shape(params1d, fast_spec):
     assert rep.full == rep.seminorm.value + rep.lpstar.value
     d = rep.as_dict()
     assert set(d) == {"seminorm", "lpstar", "full", "params", "field_id"}
+
+
+# norm_full of smooth_bump(R=1) at s=0.3, p=2, a=0.1, 262,144 samples, seed 7:
+# (seminorm value, stderr, lpstar value, stderr) as float.hex
+GOLDEN_NORM_FULL = {
+    1: ("0x1.278097aa7eff2p+0", "0x1.c5a1a83027c70p-9", "0x1.bc8f3e926fc55p-2", "0x1.fa26b46c4f45cp-12"),
+    2: ("0x1.f74551659239cp+0", "0x1.ab615115856e7p-6", "0x1.76dbd47dd0bf9p-2", "0x1.1108296e83ee3p-8"),
+    3: ("0x1.2c28af2e5f54fp+1", "0x1.b744a06eeda21p-4", "0x1.3cc0f1d5db3e2p-2", "0x1.209e631a1448cp-6"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_full_golden(n):
+    """At this budget the chunks are evaluated in several groups; the
+    estimates must not depend on how the chunks are grouped."""
+    params = validate_params(n, 0.3, 2.0, 0.1)
+    rep = norm_full(smooth_bump_field(1.0), params, QuadratureSpec(samples=262_144, seed=7))
+    got = (rep.seminorm.value, rep.seminorm.stderr, rep.lpstar.value, rep.lpstar.stderr)
+    assert tuple(v.hex() for v in got) == GOLDEN_NORM_FULL[n]
+
+
+MEMORY_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
+from sobolev_wlab import QuadratureSpec, norm_full, pipeline_rho, smooth_bump_field, validate_params
+from sobolev_wlab.fields import default_cutoff, default_mollifier, subtract
+u = smooth_bump_field(1.0)
+rho = pipeline_rho(u, 1.0, 0.1, default_cutoff(), default_mollifier(2), 128)
+rep = norm_full(subtract(u, rho), validate_params(2, 0.3, 2.0, 0.1), QuadratureSpec(samples=16_384, seed=7))
+print(rep.full)
+"""
+
+
+def test_norm_memory_bounded():
+    """The approximation error of the n=2 mollified bump at 16,384 samples
+    holds 16,384 x 8,256 convolution points; it must run in 700 MB of
+    address space, because chunks and convolution points are processed in
+    bounded groups and blocks."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) > 0.0
 
 
 def test_hat_lpstar_against_closed_form():

@@ -30,6 +30,8 @@ def indicator_ball(x):
 def test_spec_validation():
     with pytest.raises(ParameterOutOfRange):
         QuadratureSpec(samples=10)
+    with pytest.raises(ParameterOutOfRange):  # not a multiple of the 64 chunks
+        QuadratureSpec(samples=1000)
     with pytest.raises(ParameterOutOfRange):
         QuadratureSpec(grid_points=8)
     with pytest.raises(NonNormalizableDensity):
@@ -149,6 +151,15 @@ def test_ball_average_constant():
     est = ball_average(lambda z: np.ones(z.shape[0]), 2, 3.0, QuadratureSpec(samples=16000, seed=8))
     assert est.value == pytest.approx(np.pi)
     assert est.stderr == 0.0
+
+
+def test_ball_average_golden():
+    """64 samples per chunk, all chunks in one group: the value and stderr
+    are pinned to the bit, so a change of the chunk engine must keep them."""
+    est = ball_average(
+        lambda z: np.exp(-np.sum(z * z, axis=1)), 2, 1.5, QuadratureSpec(samples=4096, seed=7)
+    )
+    assert (est.value.hex(), est.stderr.hex()) == ("0x1.3b9f99960a14ap+0", "0x1.89ba145c8810ep-7")
 
 
 def test_resolve_outer_radius():

@@ -15,16 +15,8 @@ from sobolev_wlab import (
     truncate,
     validate_params,
 )
-from sobolev_wlab.fields import constant_field, default_cutoff, default_mollifier
-from sobolev_wlab.smoothing import SmoothingConfig, check_convolution_stability, conv_nodes
-
-
-def test_config_validation():
-    SmoothingConfig()
-    with pytest.raises(ParameterOutOfRange):
-        SmoothingConfig(conv_grid=8)
-    with pytest.raises(ParameterOutOfRange):
-        SmoothingConfig(j=-1.0)
+from sobolev_wlab.fields import constant_field, default_cutoff, default_mollifier, wiggle_mollifier
+from sobolev_wlab.smoothing import check_convolution_stability, conv_nodes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -33,6 +25,19 @@ def test_conv_nodes_unit_mass(n):
     assert z.shape[1] == n
     assert np.sum(w) == pytest.approx(1.0, abs=1e-15)  # unit mass to rounding
     assert np.all(np.linalg.norm(z, axis=1) <= 0.5)
+
+
+def test_conv_nodes_never_stale_after_free():
+    """A profile built after another was freed (CPython may give it the
+    freed object's id) must get its own nodes, not the freed one's."""
+    ref = {kind: conv_nodes(kind(1), 0.5, 1, 64)[1] for kind in (default_mollifier, wiggle_mollifier)}
+    assert not np.array_equal(ref[default_mollifier], ref[wiggle_mollifier])
+    for i in range(200):
+        kind = (default_mollifier, wiggle_mollifier)[i % 2]
+        profile = kind(1)
+        w = conv_nodes(profile, 0.5, 1, 64)[1]
+        assert np.array_equal(w, ref[kind]), f"round {i}: {kind.__name__} got stale weights"
+        del profile, w  # freed here, by reference counting
 
 
 def test_conv_nodes_dimension_guard():
