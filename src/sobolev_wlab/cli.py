@@ -293,6 +293,8 @@ def _run_verify(config: RunConfig) -> tuple:
     params = _space(opts)
     spec = _spec(opts)
     cutoff = default_cutoff()
+    if sid in ("prop-4.1", "prop-4.2", "lemma-4.3") and spec.method == METHOD_TENSOR_ORACLE:
+        raise OracleUnavailable(f"{sid} is Monte Carlo only; it has no tensor-oracle path")
 
     if sid == "lemma-2.1":
         rep = check_finiteness_smooth(smooth_bump_field(1.0), params, _admissible_grid(params), spec)

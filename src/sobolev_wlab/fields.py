@@ -2,9 +2,11 @@
 
 All scalar evaluators are vectorized: they take an array of shape (m, n)
 and return an array of shape (m,).  Pair evaluators take two such arrays
-(the x and y blocks) and return (m,).  Fields carry analytic metadata
-(support radius, smoothness class, Lipschitz and sup bounds) as trusted
-ground truth for the verification experiments; nothing is inferred
+(the x and y blocks) and return (m,).  Besides its evaluator a field
+carries only what the program reads: its support radius, which sets the
+sampling and quadrature radii and the convolution short-circuit, and for a
+scalar field its smoothness class, which the finiteness check requires and
+the approximation records report.  Both are analytic, never inferred
 numerically.
 """
 
@@ -20,10 +22,9 @@ from scipy.integrate import quad
 from .errors import ParameterOutOfRange, UnknownCatalogId
 from .params import SpaceParams
 
-# max slope of exp(-1/(1-t^2)) on (0,1); frozen from a fine 1-d scan
-_BUMP_PROFILE_LIP = 0.7984297518335549
-# max slope of the smoothstep h(2-r)/(h(2-r)+h(r-1)) with h(t)=exp(-1/t)
-_CUTOFF_PROFILE_LIP = 2.0
+# smoothness classes from best to worst; an operation's result is as rough
+# as its roughest operand
+_SMOOTHNESS_ORDER = ("smooth", "continuous", "measurable")
 
 
 def sphere_area(n: int) -> float:
@@ -43,8 +44,6 @@ class ScalarField:
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_radius: float  # np.inf for global support, 0.0 for the zero field
     smoothness: str  # "smooth" | "continuous" | "measurable"
-    lipschitz_bound: Optional[float] = None
-    sup_bound: Optional[float] = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float))
@@ -54,11 +53,9 @@ class ScalarField:
 class PairField:
     label: str
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    support_radius: float  # radius in R^{2n}
-    sup_bound: Optional[float] = None
     # radius such that the field vanishes when both blocks are outside it;
     # used to pick sampling truncation radii
-    x_support_radius: float = np.inf
+    x_support_radius: float
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -78,13 +75,8 @@ def _bump_profile(t: np.ndarray) -> np.ndarray:
     return np.where(inside, vals, 0.0)
 
 
-def _bump_profile_deriv(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    tt = np.where(inside, t, 0.0)
-    one = 1.0 - tt * tt
-    vals = np.exp(-1.0 / one) * (-2.0 * tt / (one * one))
-    return np.where(inside, vals, 0.0)
+def _rougher(a: str, b: str) -> str:
+    return max(a, b, key=_SMOOTHNESS_ORDER.index)
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +89,6 @@ def zero_field() -> ScalarField:
         evaluator=lambda x: np.zeros(x.shape[:-1]),
         support_radius=0.0,
         smoothness="smooth",
-        lipschitz_bound=0.0,
-        sup_bound=0.0,
-    )
-
-
-def constant_field(c: float) -> ScalarField:
-    """Internal fixture: constant on all of R^n (not a member of the space)."""
-    return ScalarField(
-        label=f"constant(c={c})",
-        evaluator=lambda x: np.full(x.shape[:-1], float(c)),
-        support_radius=np.inf,
-        smoothness="smooth",
-        lipschitz_bound=0.0,
-        sup_bound=abs(float(c)),
     )
 
 
@@ -120,8 +98,6 @@ def gaussian_field() -> ScalarField:
         evaluator=lambda x: np.exp(-np.sum(x * x, axis=-1)),
         support_radius=np.inf,
         smoothness="smooth",
-        lipschitz_bound=np.sqrt(2.0) * np.exp(-0.5),
-        sup_bound=1.0,
     )
 
 
@@ -133,8 +109,6 @@ def smooth_bump_field(R: float = 1.0) -> ScalarField:
         evaluator=lambda x: _bump_profile(_radii(x) / R),
         support_radius=float(R),
         smoothness="smooth",
-        lipschitz_bound=_BUMP_PROFILE_LIP / R,
-        sup_bound=float(np.exp(-1.0)),
     )
 
 
@@ -149,26 +123,17 @@ def hat_1d_field() -> ScalarField:
         evaluator=ev,
         support_radius=1.0,
         smoothness="continuous",
-        lipschitz_bound=1.0,
-        sup_bound=1.0,
     )
 
 
 def polynomial_tail_field(gamma: float) -> ScalarField:
     if gamma <= 0:
         raise ParameterOutOfRange(f"polynomial_tail needs gamma > 0, got {gamma}")
-    lip = (
-        gamma
-        / np.sqrt(gamma + 1.0)
-        * (1.0 + 1.0 / (gamma + 1.0)) ** (-(gamma + 2.0) / 2.0)
-    )
     return ScalarField(
         label=f"polynomial_tail(gamma={gamma})",
         evaluator=lambda x: (1.0 + np.sum(x * x, axis=-1)) ** (-gamma / 2.0),
         support_radius=np.inf,
         smoothness="smooth",
-        lipschitz_bound=float(lip),
-        sup_bound=1.0,
     )
 
 
@@ -200,8 +165,6 @@ def singular_spike_field(gamma: float, R: float, space: SpaceParams) -> ScalarFi
         evaluator=ev,
         support_radius=float(R),
         smoothness="measurable",
-        lipschitz_bound=None,
-        sup_bound=None,
     )
 
 
@@ -272,17 +235,6 @@ def field_from_spec(text: str, space: Optional[SpaceParams] = None) -> ScalarFie
 # field algebra
 
 
-def scale_values(u: ScalarField, c: float) -> ScalarField:
-    return ScalarField(
-        label=f"scale({c},{u.label})",
-        evaluator=lambda x, _u=u, _c=c: _c * _u(x),
-        support_radius=u.support_radius if c != 0 else 0.0,
-        smoothness=u.smoothness,
-        lipschitz_bound=None if u.lipschitz_bound is None else abs(c) * u.lipschitz_bound,
-        sup_bound=None if u.sup_bound is None else abs(c) * u.sup_bound,
-    )
-
-
 def dilate(u: ScalarField, lam: float) -> ScalarField:
     """x -> u(lam * x)."""
     if lam <= 0:
@@ -292,48 +244,22 @@ def dilate(u: ScalarField, lam: float) -> ScalarField:
         evaluator=lambda x, _u=u, _l=lam: _u(_l * x),
         support_radius=u.support_radius / lam,
         smoothness=u.smoothness,
-        lipschitz_bound=None if u.lipschitz_bound is None else lam * u.lipschitz_bound,
-        sup_bound=u.sup_bound,
     )
 
 
 def subtract(u: ScalarField, w: ScalarField) -> ScalarField:
-    lip = None
-    if u.lipschitz_bound is not None and w.lipschitz_bound is not None:
-        lip = u.lipschitz_bound + w.lipschitz_bound
-    sup = None
-    if u.sup_bound is not None and w.sup_bound is not None:
-        sup = u.sup_bound + w.sup_bound
-    order = {"smooth": 0, "continuous": 1, "measurable": 2}
-    smoothness = max(u.smoothness, w.smoothness, key=lambda s: order[s])
     return ScalarField(
         label=f"sub({u.label},{w.label})",
         evaluator=lambda x, _u=u, _w=w: _u(x) - _w(x),
         support_radius=max(u.support_radius, w.support_radius),
-        smoothness=smoothness,
-        lipschitz_bound=lip,
-        sup_bound=sup,
-    )
-
-
-def pair_constant(c: float) -> PairField:
-    return PairField(
-        label=f"pair_constant(c={c})",
-        evaluator=lambda x, y: np.full(x.shape[:-1], float(c)),
-        support_radius=np.inf,
-        sup_bound=abs(float(c)),
+        smoothness=_rougher(u.smoothness, w.smoothness),
     )
 
 
 def pair_subtract(v: PairField, w: PairField) -> PairField:
-    sup = None
-    if v.sup_bound is not None and w.sup_bound is not None:
-        sup = v.sup_bound + w.sup_bound
     return PairField(
         label=f"sub({v.label},{w.label})",
         evaluator=lambda x, y, _v=v, _w=w: _v(x, y) - _w(x, y),
-        support_radius=max(v.support_radius, w.support_radius),
-        sup_bound=sup,
         x_support_radius=max(v.x_support_radius, w.x_support_radius),
     )
 
@@ -356,8 +282,6 @@ def lift_difference_quotient(u: ScalarField, params: SpaceParams) -> PairField:
     return PairField(
         label=f"lift({u.label};n/p+s={exponent})",
         evaluator=ev,
-        support_radius=np.inf,
-        sup_bound=None,
         x_support_radius=u.support_radius,
     )
 
@@ -365,12 +289,9 @@ def lift_difference_quotient(u: ScalarField, params: SpaceParams) -> PairField:
 def clip_to_level(v: PairField, M: float) -> PairField:
     if M <= 0:
         raise ParameterOutOfRange(f"clip level must be positive, got {M}")
-    sup = float(M) if v.sup_bound is None else min(float(M), v.sup_bound)
     return PairField(
         label=f"clip({M},{v.label})",
         evaluator=lambda x, y, _v=v, _m=float(M): np.clip(_v(x, y), -_m, _m),
-        support_radius=v.support_radius,
-        sup_bound=sup,
         x_support_radius=v.x_support_radius,
     )
 
@@ -384,10 +305,6 @@ class CutoffProfile:
     """Smooth radial profile with value 1 on B_1 and 0 outside B_2."""
 
     radial: Callable[[np.ndarray], np.ndarray]
-    lipschitz_bound: float
-
-    def base(self, x: np.ndarray) -> np.ndarray:
-        return self.radial(_radii(np.asarray(x, dtype=float)))
 
 
 def default_cutoff() -> CutoffProfile:
@@ -402,7 +319,7 @@ def default_cutoff() -> CutoffProfile:
         vals = ha / (ha + hb)
         return np.where(lo, 1.0, np.where(hi, 0.0, vals))
 
-    return CutoffProfile(radial=radial, lipschitz_bound=_CUTOFF_PROFILE_LIP)
+    return CutoffProfile(radial=radial)
 
 
 def cutoff_tau_j(profile: CutoffProfile, j: float) -> ScalarField:
@@ -414,24 +331,16 @@ def cutoff_tau_j(profile: CutoffProfile, j: float) -> ScalarField:
         evaluator=lambda x, _p=profile, _j=float(j): _p.radial(_radii(x) / _j),
         support_radius=2.0 * float(j),
         smoothness="smooth",
-        lipschitz_bound=profile.lipschitz_bound / float(j),
-        sup_bound=1.0,
     )
 
 
 def multiply_cutoff(u: ScalarField, tau: ScalarField) -> ScalarField:
     """Pointwise product tau * u (the truncation operator)."""
-    lip = None
-    if u.lipschitz_bound is not None and u.sup_bound is not None and tau.lipschitz_bound is not None:
-        lip = u.lipschitz_bound + u.sup_bound * tau.lipschitz_bound
-    order = {"smooth": 0, "continuous": 1, "measurable": 2}
     return ScalarField(
         label=f"mul({tau.label},{u.label})",
         evaluator=lambda x, _u=u, _t=tau: _u(x) * _t(x),
         support_radius=min(u.support_radius, tau.support_radius),
-        smoothness=max(u.smoothness, tau.smoothness, key=lambda s: order[s]),
-        lipschitz_bound=lip,
-        sup_bound=u.sup_bound,
+        smoothness=_rougher(u.smoothness, tau.smoothness),
     )
 
 
@@ -439,79 +348,23 @@ def multiply_cutoff(u: ScalarField, tau: ScalarField) -> ScalarField:
 class MollifierProfile:
     """Radial unit-mass profile supported in B_1, for a fixed dimension n.
 
-    ``radial_profile`` and ``derivative`` are the *unnormalized* shape g and
-    g'; the normalized density is normalization_constant * g(|x|).
+    ``radial_profile`` is the *unnormalized* shape g; the normalized density
+    is normalization_constant * g(|x|).
     """
 
     n: int
     radial_profile: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
     normalization_constant: float
-
-    def eta(self, x: np.ndarray) -> np.ndarray:
-        """Normalized density at points of R^n."""
-        return self.normalization_constant * self.radial_profile(_radii(np.asarray(x, float)))
 
     def eta_radial(self, r: np.ndarray) -> np.ndarray:
         return self.normalization_constant * self.radial_profile(np.asarray(r, float))
 
 
-def _profile_from_shape(n: int, g, gp) -> MollifierProfile:
-    radial_mass, err = quad(lambda r: r ** (n - 1) * float(g(np.array([r]))[0]), 0.0, 1.0, epsrel=1e-10)
-    const = 1.0 / (sphere_area(n) * radial_mass)
-    return MollifierProfile(n=n, radial_profile=g, derivative=gp, normalization_constant=const)
-
-
 def default_mollifier(n: int) -> MollifierProfile:
     """Smooth radially decreasing bump exp(-1/(1-r^2)), normalized for R^n."""
-    return _profile_from_shape(n, _bump_profile, _bump_profile_deriv)
-
-
-def wiggle_mollifier(n: int) -> MollifierProfile:
-    """Non-monotone but nonnegative profile vanishing at r=1 (negative control)."""
-
-    def g(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return _bump_profile(r) * (1.0 + 0.5 * np.sin(6.0 * np.pi * r))
-
-    def gp(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return _bump_profile_deriv(r) * (1.0 + 0.5 * np.sin(6.0 * np.pi * r)) + _bump_profile(
-            r
-        ) * 3.0 * np.pi * np.cos(6.0 * np.pi * r)
-
-    return _profile_from_shape(n, g, gp)
-
-
-def mollifier_eta(profile: MollifierProfile, epsilon: float, n: int) -> ScalarField:
-    """The rescaled mollifier eta_eps(x) = eps^(-n) eta(x/eps) as a field."""
-    if epsilon <= 0:
-        raise ParameterOutOfRange(f"mollifier scale must be positive, got {epsilon}")
-    if n != profile.n:
-        raise ParameterOutOfRange(f"profile was normalized for n={profile.n}, requested n={n}")
-    scale = epsilon ** (-n)
-    return ScalarField(
-        label=f"eta_eps(eps={epsilon},n={n})",
-        evaluator=lambda x, _p=profile, _e=float(epsilon), _s=scale: _s * _p.eta(x / _e),
-        support_radius=float(epsilon),
-        smoothness="smooth",
-        lipschitz_bound=None,
-        sup_bound=float(scale * profile.normalization_constant * np.exp(-1.0)),
+    radial_mass, _ = quad(
+        lambda r: r ** (n - 1) * float(_bump_profile(np.array([r]))[0]), 0.0, 1.0, epsrel=1e-10
     )
-
-
-def eta_derivative_identity_check(profile: MollifierProfile, n: int, resolution: int) -> float:
-    """Residual of the radial integration-by-parts identity of the profile.
-
-    Compares -int_0^1 r^n g'(r) dr against n * int_0^1 r^(n-1) g(r) dr by
-    composite midpoint quadrature at the given resolution.  For radially
-    decreasing profiles -g' = |g'|; the signed form is used so that the
-    identity also holds for non-monotone profiles with g(1) = 0.
-    """
-    if resolution < 16:
-        raise ParameterOutOfRange("resolution must be at least 16")
-    h = 1.0 / resolution
-    r = (np.arange(resolution) + 0.5) * h
-    lhs = -np.sum(r**n * profile.derivative(r)) * h
-    rhs = n * np.sum(r ** (n - 1) * profile.radial_profile(r)) * h
-    return float(abs(lhs - rhs))
+    return MollifierProfile(
+        n=n, radial_profile=_bump_profile, normalization_constant=1.0 / (sphere_area(n) * radial_mass)
+    )

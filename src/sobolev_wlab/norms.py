@@ -19,6 +19,7 @@ from .quadrature import (
     FLAG_UNRELIABLE,
     METHOD_TENSOR_ORACLE,
     QuadratureSpec,
+    _merge_flags,
     estimate_pair_integral_singular,
     estimate_weighted_integral_Rn,
     oracle_pair_integral_1d,
@@ -58,7 +59,7 @@ def _root(est: Estimate, power: float) -> Estimate:
     else:
         stderr = est.stderr * inv * raw ** (inv - 1.0)
         if est.stderr > 0.5 * raw:
-            flags = tuple(set(flags) | {FLAG_UNRELIABLE})
+            flags = _merge_flags(flags, (FLAG_UNRELIABLE,))
     return Estimate(
         value=float(value),
         stderr=float(stderr),
@@ -83,14 +84,30 @@ def _pair_power_integral(v: PairField, params: SpaceParams, alpha: float, beta: 
         tensor_oracle_1d_available(params.n)
         x_max = resolve_outer_radius(spec, v.x_support_radius)
         return oracle_pair_integral_1d(
-            g, alpha, beta, x_max=x_max, z_max=2.0 * x_max,
-            grid_points=spec.grid_points, label=label, spec=spec,
+            g, alpha, beta, x_max=x_max, z_max=2.0 * x_max, spec=spec, label=label
         )
     kappa = spec.near_exponent if spec.near_exponent is not None else params.p * (1.0 - params.s)
     return estimate_pair_integral_singular(
         g, n=params.n, alpha=alpha, beta=beta, sp=params.sp, spec=spec,
         x_support_radius=v.x_support_radius, kappa=kappa, label=label,
     )
+
+
+def _power_integral(u: ScalarField, params: SpaceParams, spec: QuadratureSpec,
+                    label: str) -> Estimate:
+    """Raw integral int |u|^{p_star} |x|^(-b) dx, by the tensor oracle or by
+    Monte Carlo as the spec says; ``label`` keys the digest."""
+    pstar, b, n = params.p_star, params.b, params.n
+
+    def f(x):
+        return np.abs(u(x)) ** pstar
+
+    if spec.method == METHOD_TENSOR_ORACLE:
+        tensor_oracle_1d_available(n)
+        x_max = resolve_outer_radius(spec, u.support_radius)
+        return oracle_weighted_integral_1d(f, b, x_max=x_max, spec=spec, label=label)
+    rspec = pin_outer_radius(spec, u.support_radius)
+    return estimate_weighted_integral_Rn(f, n=n, weight_exponent=b, spec=rspec, label=label)
 
 
 def norm_lpaa_2n(v: PairField, params: SpaceParams, spec: QuadratureSpec) -> Estimate:
@@ -119,23 +136,7 @@ def seminorm_general(
 
 def norm_lpstar_a(u: ScalarField, params: SpaceParams, spec: QuadratureSpec) -> Estimate:
     """(int |u|^{p_star} |x|^(-b) dx)^(1/p_star)."""
-    pstar, b, n = params.p_star, params.b, params.n
-
-    def f(x):
-        return np.abs(u(x)) ** pstar
-
-    if spec.method == METHOD_TENSOR_ORACLE:
-        tensor_oracle_1d_available(n)
-        x_max = resolve_outer_radius(spec, u.support_radius)
-        raw = oracle_weighted_integral_1d(
-            f, b, x_max=x_max, grid_points=spec.grid_points,
-            label=f"lpstar[{u.label}]", spec=spec,
-        )
-    else:
-        rspec = pin_outer_radius(spec, u.support_radius)
-        raw = estimate_weighted_integral_Rn(f, n=n, weight_exponent=b, spec=rspec,
-                                            label=f"lpstar[{u.label}]")
-    return _root(raw, pstar)
+    return _root(_power_integral(u, params, spec, f"lpstar[{u.label}]"), params.p_star)
 
 
 def norm_full(u: ScalarField, params: SpaceParams, spec: QuadratureSpec) -> NormReport:

@@ -92,6 +92,11 @@ class QuadratureSpec:
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
+def _merge_flags(*groups) -> tuple:
+    """The flags of every group, in order of first appearance, each once."""
+    return tuple(dict.fromkeys(flag for group in groups for flag in group))
+
+
 @dataclass(frozen=True)
 class Estimate:
     value: float
@@ -412,29 +417,39 @@ def _oracle_weighted_1d_once(f, c: float, x_max: float, cells: int) -> float:
     return total
 
 
+def _refine(once: Callable[[int], float], grid_points: int) -> tuple:
+    """``once(cells)`` on a quarter, half and all of the grid, in that order.
+
+    Small wiggles are expected when two graded axes refine together (kinked
+    integrands shift relative to cell midpoints); this guard only has to
+    catch catastrophic non-convergence, so it trips on a clear growth of the
+    refinement difference at a non-trivial relative size.
+    """
+    coarse, mid, fine = (once(grid_points // k) for k in (4, 2, 1))
+    d_old = abs(mid - coarse)
+    d_new = abs(fine - mid)
+    if d_new > 3.0 * d_old and d_new > 1e-3 * max(abs(fine), 1e-300) and d_old > 0.0:
+        raise QuadratureFailure(
+            f"oracle refinement did not shrink: |fine-mid|={d_new} > 3*|mid-coarse|={d_old}"
+        )
+    return coarse, mid, fine
+
+
 def oracle_weighted_integral_1d(
     f: Callable[[np.ndarray], np.ndarray],
     c: float,
     x_max: float,
-    grid_points: int,
+    spec: QuadratureSpec,
     label: str = "",
-    spec: Optional[QuadratureSpec] = None,
 ) -> Estimate:
-    """Deterministic estimate of int_R f(x) |x|^(-c) dx with graded midpoint cells."""
-    if grid_points < 64:
-        raise ParameterOutOfRange("oracle grid must have at least 64 points")
-    coarse = _oracle_weighted_1d_once(f, c, x_max, grid_points // 4)
-    mid = _oracle_weighted_1d_once(f, c, x_max, grid_points // 2)
-    fine = _oracle_weighted_1d_once(f, c, x_max, grid_points)
-    _check_refinement(coarse, mid, fine)
-    digest = (spec or QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=grid_points)).digest(
-        f"oracle1d:{label}:c={c}:xmax={x_max}"
-    )
+    """Deterministic estimate of int_R f(x) |x|^(-c) dx with graded midpoint
+    cells, on the spec's grid."""
+    _, mid, fine = _refine(lambda cells: _oracle_weighted_1d_once(f, c, x_max, cells), spec.grid_points)
     return Estimate(
         value=fine,
         stderr=abs(fine - mid),
-        samples_used=2 * (grid_points + 1),
-        spec_digest=digest,
+        samples_used=2 * (spec.grid_points + 1),
+        spec_digest=spec.digest(f"oracle1d:{label}:c={c}:xmax={x_max}"),
     )
 
 
@@ -486,47 +501,26 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
     return total
 
 
-def _check_refinement(coarse: float, mid: float, fine: float) -> None:
-    d_old = abs(mid - coarse)
-    d_new = abs(fine - mid)
-    scale = max(abs(fine), 1e-300)
-    # small wiggles are expected when two graded axes refine together (kinked
-    # integrands shift relative to cell midpoints); this guard only has to
-    # catch catastrophic non-convergence, so it trips on a clear growth of the
-    # refinement difference at a non-trivial relative size
-    if d_new > 3.0 * d_old and d_new > 1e-3 * scale and d_old > 0.0:
-        raise QuadratureFailure(
-            f"oracle refinement did not shrink: |fine-mid|={d_new} > 3*|mid-coarse|={d_old}"
-        )
-
-
 def oracle_pair_integral_1d(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     alpha: float,
     beta: float,
     x_max: float,
     z_max: float,
-    grid_points: int,
+    spec: QuadratureSpec,
     label: str = "",
-    spec: Optional[QuadratureSpec] = None,
 ) -> Estimate:
     """Deterministic estimate of iint g(x, y) |x|^(-alpha) |y|^(-beta) dx dy
-    in n = 1, on the (x, z) plane with y = x + z and graded grids toward 0."""
-    if grid_points < 64:
-        raise ParameterOutOfRange("oracle grid must have at least 64 points")
-
-    coarse = _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, grid_points // 4)
-    mid = _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, grid_points // 2)
-    fine = _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, grid_points)
-    _check_refinement(coarse, mid, fine)
-    digest = (spec or QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=grid_points)).digest(
-        f"oracle2d:{label}:a={alpha}:b={beta}:xmax={x_max}:zmax={z_max}"
+    in n = 1, on the (x, z) plane with y = x + z and graded grids toward 0,
+    on the spec's grid."""
+    coarse, mid, fine = _refine(
+        lambda cells: _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells), spec.grid_points
     )
     return Estimate(
         value=fine,
         stderr=abs(fine - mid) + abs(mid - coarse),
-        samples_used=(2 * (grid_points + 1)) ** 2,
-        spec_digest=digest,
+        samples_used=(2 * (spec.grid_points + 1)) ** 2,
+        spec_digest=spec.digest(f"oracle2d:{label}:a={alpha}:b={beta}:xmax={x_max}:zmax={z_max}"),
     )
 
 

@@ -18,7 +18,7 @@ from .errors import IoError
 
 SCHEMA_VERSION = 1
 
-CSV_HEADER = "knob,value,error,stderr"
+CSV_HEADER = "knob,value,stderr"
 
 
 @dataclass(frozen=True)
@@ -80,22 +80,10 @@ def canonical_json(tree) -> str:
     return _canon(tree) + "\n"
 
 
-def record_from_json(text: str) -> ResultRecord:
-    data = json.loads(text)
-    return ResultRecord(
-        schema_version=data["schema_version"],
-        timestamp=data["timestamp"],
-        command=data["command"],
-        config=data["config"],
-        outputs=data["outputs"],
-        verdicts=data["verdicts"],
-    )
-
-
-def ladder_csv(knobs, values, errors, stderrs) -> str:
+def ladder_csv(knobs, values, stderrs) -> str:
     lines = [CSV_HEADER]
-    for k, v, e, s in zip(knobs, values, errors, stderrs):
-        lines.append("%.17g,%.17g,%.17g,%.17g" % (k, v, e, s))
+    for k, v, s in zip(knobs, values, stderrs):
+        lines.append("%.17g,%.17g,%.17g" % (k, v, s))
     return "\n".join(lines) + "\n"
 
 
@@ -163,9 +151,8 @@ def _ladder_series(outputs: dict) -> Optional[tuple]:
         return None
     knobs = rep["ladder"]
     values = [e["value"] for e in rep["errors"]]
-    bounds = [e.get("tail_truncation_bound", 0.0) for e in rep["errors"]]
     stderrs = [e["stderr"] for e in rep["errors"]]
-    return knobs, values, bounds, stderrs
+    return knobs, values, stderrs
 
 
 def write_outputs(record: ResultRecord, formats, output_dir: str, stem: str) -> list:
@@ -180,13 +167,12 @@ def write_outputs(record: ResultRecord, formats, output_dir: str, stem: str) -> 
             written.append(path)
         ladder = _ladder_series(record.outputs)
         if "csv" in formats and ladder is not None:
-            knobs, values, bounds, stderrs = ladder
             path = os.path.join(output_dir, stem + ".csv")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(ladder_csv(knobs, values, bounds, stderrs))
+                fh.write(ladder_csv(*ladder))
             written.append(path)
         if "svg" in formats and ladder is not None:
-            knobs, values, _, _ = ladder
+            knobs, values, _ = ladder
             path = os.path.join(output_dir, stem + ".svg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(ladder_svg({"error": (knobs, values)}, title=stem))

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ParameterOutOfRange, QuadratureFailure
+from .errors import ParameterOutOfRange
 from .fields import (
     CutoffProfile,
     MollifierProfile,
@@ -122,8 +122,6 @@ def convolve_field(
         ),
         support_radius=u.support_radius + epsilon,
         smoothness="smooth",
-        lipschitz_bound=u.lipschitz_bound,
-        sup_bound=u.sup_bound,
     )
 
 
@@ -162,31 +160,8 @@ def star_convolve_field(
         evaluator=lambda x, y, _v=v, _p=profile, _e=float(epsilon), _m=conv_grid: star_convolve(
             _v, _p, _e, x, y, _m
         ),
-        support_radius=v.support_radius + epsilon,
-        sup_bound=v.sup_bound,
         x_support_radius=v.x_support_radius + epsilon,
     )
-
-
-def check_convolution_stability(
-    u: ScalarField,
-    epsilon: float,
-    profile: MollifierProfile,
-    probes: np.ndarray,
-    conv_grid: int = DEFAULT_CONV_GRID,
-    rel_tol: float = 1e-4,
-) -> float:
-    """Compare conv_grid against conv_grid//2 at probe points; raise
-    QuadratureFailure if the relative deviation exceeds rel_tol."""
-    fine = convolve(u, epsilon, profile, probes, conv_grid)
-    half = convolve(u, epsilon, profile, probes, conv_grid // 2)
-    scale = max(float(np.max(np.abs(fine))), 1e-300)
-    dev = float(np.max(np.abs(fine - half))) / scale
-    if dev > rel_tol:
-        raise QuadratureFailure(
-            f"convolution did not stabilize: relative deviation {dev} > {rel_tol}"
-        )
-    return dev
 
 
 def pipeline_rho(
@@ -212,6 +187,4 @@ def pipeline_rho(
         evaluator=ev,
         support_radius=support,
         smoothness="smooth",
-        lipschitz_bound=truncated.lipschitz_bound,
-        sup_bound=u.sup_bound,
     )

@@ -29,6 +29,7 @@ from .fields import (
 )
 from .norms import (
     _pair_power_integral,
+    _power_integral,
     norm_full,
     norm_lpaa_2n,
     norm_lpstar_a,
@@ -46,8 +47,8 @@ from .quadrature import (
     _directions,
     _fold_chunks,
     _guard_unit,
+    _merge_flags,
     ball_average,
-    estimate_weighted_integral_Rn,
     pin_outer_radius,
     resolve_outer_radius,
 )
@@ -112,7 +113,7 @@ def _full_norm_estimate(u: ScalarField, params: SpaceParams, spec: QuadratureSpe
         stderr=rep.seminorm.stderr + rep.lpstar.stderr,
         samples_used=rep.seminorm.samples_used + rep.lpstar.samples_used,
         spec_digest=rep.seminorm.spec_digest,
-        flags=tuple(set(rep.seminorm.flags) | set(rep.lpstar.flags)),
+        flags=_merge_flags(rep.seminorm.flags, rep.lpstar.flags),
     )
 
 
@@ -345,9 +346,7 @@ def check_star_convolution_bound(
     def energy(field):
         if is_pair:
             return _pair_power_integral(field, params, params.a, params.a, spec)
-        return estimate_weighted_integral_Rn(
-            lambda pts: np.abs(field(pts)) ** params.p_star, params.n, params.b, spec, label=field.label
-        )
+        return _power_integral(field, params, spec, field.label)
 
     den = energy(entry)
     if den.value <= 0.0:

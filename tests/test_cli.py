@@ -101,7 +101,7 @@ def test_verify_writes_csv_and_svg(tmp_path):
                  "--out", str(tmp_path), "--format", "json,csv,svg"])
     assert code == 0
     csv_lines = (tmp_path / "verify_lemma-6.1.csv").read_text().strip().split("\n")
-    assert csv_lines[0] == "knob,value,error,stderr"
+    assert csv_lines[0] == "knob,value,stderr"
     assert len(csv_lines) == 4
     assert (tmp_path / "verify_lemma-6.1.svg").read_text().count("<polyline") == 1
 
@@ -116,3 +116,12 @@ def test_rerun_byte_identical_except_timestamp(tmp_path):
     da.pop("timestamp"), db.pop("timestamp")
     da["config"].pop("out"), db["config"].pop("out")
     assert da == db
+
+
+@pytest.mark.parametrize("sid", ["prop-4.1", "prop-4.2", "lemma-4.3"])
+def test_monte_carlo_only_statements_refuse_the_oracle(sid, tmp_path, capsys):
+    code = main(["verify", sid, *BASE, "--method", "tensor_oracle_1d", "--trials", "20",
+                 "--samples", "6400", "--out", str(tmp_path)])
+    assert code == 1
+    assert "tensor-oracle" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

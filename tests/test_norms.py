@@ -19,7 +19,7 @@ from sobolev_wlab import (
     validate_params,
     zero_field,
 )
-from sobolev_wlab.fields import scale_values
+from sobolev_wlab.fields import ScalarField
 from sobolev_wlab.quadrature import FLAG_UNRELIABLE
 
 
@@ -42,11 +42,12 @@ def test_zero_field_norms(params1d, fast_spec):
 def test_homogeneity_crn(params1d, fast_spec):
     """||c*u|| = |c| * ||u|| exactly under common random numbers."""
     u = smooth_bump_field(1.0)
+    scaled_u = ScalarField(f"scale(-3.0,{u.label})", lambda x: -3.0 * u(x), u.support_radius, u.smoothness)
     base = seminorm_wspa(u, params1d, fast_spec)
-    scaled = seminorm_wspa(scale_values(u, -3.0), params1d, fast_spec)
+    scaled = seminorm_wspa(scaled_u, params1d, fast_spec)
     assert scaled.value == pytest.approx(3.0 * base.value, rel=1e-12)
     lp_base = norm_lpstar_a(u, params1d, fast_spec)
-    lp_scaled = norm_lpstar_a(scale_values(u, -3.0), params1d, fast_spec)
+    lp_scaled = norm_lpstar_a(scaled_u, params1d, fast_spec)
     assert lp_scaled.value == pytest.approx(3.0 * lp_base.value, rel=1e-12)
 
 
@@ -160,3 +161,32 @@ def test_hat_lpstar_against_closed_form():
     est = norm_lpstar_a(u, params, QuadratureSpec(samples=256000, seed=13))
     exact = (2.0 / (params.p_star + 1.0)) ** (1.0 / params.p_star)
     assert abs(est.value - exact) <= 4 * est.stderr + 1e-4
+
+
+FLAG_ORDER_CHILD = """
+from sobolev_wlab import verification, validate_params
+from sobolev_wlab.norms import NormReport, _root
+from sobolev_wlab.quadrature import FLAG_UNRELIABLE, FLAG_UNSTABLE, Estimate
+rooted = _root(Estimate(1.0, 0.9, 64, "d", flags=(FLAG_UNSTABLE,)), 2.0)
+semi = Estimate(1.0, 0.1, 64, "d", flags=(FLAG_UNRELIABLE, FLAG_UNSTABLE))
+lp = Estimate(1.0, 0.1, 64, "e", flags=(FLAG_UNSTABLE,))
+params = validate_params(1, 0.3, 2.0, 0.1)
+verification.norm_full = lambda u, p, spec: NormReport(semi, lp, 2.0, p, "f")
+print(rooted.flags, verification._full_norm_estimate(None, params, None).flags)
+"""
+
+
+def test_flag_order_independent_of_hash_seed():
+    """Merged flags keep their first-appearance order, so a record's flags
+    do not depend on string hashing."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = set()
+    for hash_seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", FLAG_ORDER_CHILD], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.add(proc.stdout)
+    assert outputs == {"('EstimateUnstable', 'Unreliable') ('Unreliable', 'EstimateUnstable')\n"}

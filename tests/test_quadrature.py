@@ -50,7 +50,8 @@ def test_digest_distinguishes():
 def test_oracle_closed_form_singular():
     # int_{-1}^{1} |x|^(-1/2) dx = 4
     est = oracle_weighted_integral_1d(
-        lambda x: (np.abs(x[..., 0]) <= 1).astype(float), 0.5, x_max=1.0, grid_points=2048
+        lambda x: (np.abs(x[..., 0]) <= 1).astype(float), 0.5, x_max=1.0,
+        spec=QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=2048),
     )
     assert est.value == pytest.approx(4.0, abs=1e-3)
     assert abs(est.value - 4.0) <= 5 * max(est.stderr, 1e-4)
@@ -64,7 +65,8 @@ def test_oracle_pair_closed_form():
         return np.exp(-x[..., 0] ** 2) * np.where(inside, np.where(z > 0, z, 1.0) ** -0.5, 0.0)
 
     exact = 4 * np.sqrt(np.pi)
-    est = oracle_pair_integral_1d(g, 0.0, 0.0, x_max=12.0, z_max=1.0, grid_points=1024)
+    spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=1024)
+    est = oracle_pair_integral_1d(g, 0.0, 0.0, x_max=12.0, z_max=1.0, spec=spec)
     assert est.value == pytest.approx(exact, rel=2e-3)
 
 

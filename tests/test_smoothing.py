@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sobolev_wlab import (
+    MollifierProfile,
     ParameterOutOfRange,
-    QuadratureFailure,
+    ScalarField,
     convolve,
     convolve_field,
     gaussian_field,
@@ -15,8 +16,30 @@ from sobolev_wlab import (
     truncate,
     validate_params,
 )
-from sobolev_wlab.fields import constant_field, default_cutoff, default_mollifier, wiggle_mollifier
-from sobolev_wlab.smoothing import check_convolution_stability, conv_nodes
+from sobolev_wlab.fields import default_cutoff, default_mollifier
+from sobolev_wlab.smoothing import conv_nodes
+
+
+def constant_field(c: float) -> ScalarField:
+    """Constant on all of R^n (not a member of the space)."""
+    return ScalarField(
+        label=f"constant(c={c})",
+        evaluator=lambda x: np.full(x.shape[:-1], float(c)),
+        support_radius=np.inf,
+        smoothness="smooth",
+    )
+
+
+def wiggle_mollifier(n: int) -> MollifierProfile:
+    """A non-monotone profile built afresh on every call.  Its constant is
+    the bump's, not its own unit-mass one: conv_nodes normalizes its
+    weights, so the nodes do not depend on it."""
+    bump = default_mollifier(n)
+
+    def g(r):
+        return bump.radial_profile(r) * (1.0 + 0.5 * np.sin(6.0 * np.pi * np.asarray(r, float)))
+
+    return MollifierProfile(n=n, radial_profile=g, normalization_constant=bump.normalization_constant)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -96,15 +119,6 @@ def test_truncation_identity_inside(rng):
     assert w(inside) == pytest.approx(u(inside))
     outside = rng.uniform(4.01, 10, size=(50, 1))
     assert np.all(w(outside) == 0.0)
-
-
-def test_stability_check_passes_and_fails():
-    u = smooth_bump_field(1.0)
-    probes = np.linspace(-1.5, 1.5, 41)[:, None]
-    dev = check_convolution_stability(u, 0.3, default_mollifier(1), probes, 256)
-    assert dev < 1e-4
-    with pytest.raises(QuadratureFailure):
-        check_convolution_stability(u, 0.3, default_mollifier(1), probes, 64, rel_tol=1e-14)
 
 
 def test_pipeline_rho_support_and_smoothness():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from sobolev_wlab import (
     gaussian_field,
     hat_1d_field,
     lift_difference_quotient,
+    norm_lpstar_a,
     polynomial_tail_field,
     run_clipping_convergence,
     run_density_experiment,
@@ -26,8 +29,17 @@ from sobolev_wlab import (
     validate_params,
     zero_field,
 )
-from sobolev_wlab.fields import default_cutoff, default_mollifier, pair_constant
+from sobolev_wlab.fields import PairField, default_cutoff, default_mollifier
 from sobolev_wlab.verification import reciprocal_weight_integrand
+
+
+def pair_constant(c: float) -> PairField:
+    """Constant on all of R^{2n}."""
+    return PairField(
+        label=f"pair_constant(c={c})",
+        evaluator=lambda x, y: np.full(x.shape[:-1], float(c)),
+        x_support_radius=np.inf,
+    )
 
 
 def test_averaged_bound_a_zero_is_ball_volume():
@@ -178,3 +190,19 @@ def test_sobolev_inequality(params1d, fast_spec):
     assert np.isfinite(rep.measured_constant) and rep.measured_constant > 0
     with pytest.raises(DegenerateDenominator):
         check_sobolev_inequality([zero_field()], params1d, fast_spec)
+
+
+def test_prop_4_5_energies_use_the_oracle(params1d, oracle_spec):
+    """Under the oracle the scalar energies are the oracle's, whatever the
+    Monte Carlo budget and seed say."""
+    u = smooth_bump_field(1.0)
+    reps = [
+        check_star_convolution_bound(
+            u, params1d, default_mollifier(1), replace(oracle_spec, samples=samples, seed=seed),
+            eps_ladder=(0.5,), conv_grid=32,
+        )
+        for samples, seed in ((6400, 1), (64000, 2))
+    ]
+    assert reps[0].details == reps[1].details
+    den = reps[0].details["denominator_energy"]
+    assert den == pytest.approx(norm_lpstar_a(u, params1d, oracle_spec).value ** params1d.p_star, rel=1e-12)
