@@ -68,8 +68,6 @@ from .smoothing import (
     truncate,
 )
 from .verification import (
-    BoundReport,
-    ConvergenceReport,
     check_averaged_weight_bound,
     check_commutation_identity,
     check_finiteness_smooth,

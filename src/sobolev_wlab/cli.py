@@ -254,8 +254,7 @@ def _run_norm(config: RunConfig) -> tuple:
     opts = config.options
     params = _space(opts)
     u = field_from_spec(opts["field"], space=params)
-    report = norm_full(u, params, _spec(opts))
-    return {"report": report.as_dict()}, ["Pass"]
+    return {"report": norm_full(u, params, _spec(opts))}, ["Pass"]
 
 
 def _run_approx(config: RunConfig) -> tuple:
@@ -274,7 +273,7 @@ def _run_approx(config: RunConfig) -> tuple:
             "epsilon": opts["eps"],
             "rho_support_radius": rho.support_radius,
             "rho_smoothness": rho.smoothness,
-            "error": err.as_dict(),
+            "error": err,
         }
     }, ["Pass"]
 
@@ -296,64 +295,58 @@ def _run_verify(config: RunConfig) -> tuple:
     if sid in ("prop-4.1", "prop-4.2", "lemma-4.3") and spec.method == METHOD_TENSOR_ORACLE:
         raise OracleUnavailable(f"{sid} is Monte Carlo only; it has no tensor-oracle path")
 
+    extra = {}
     if sid == "lemma-2.1":
         rep = check_finiteness_smooth(smooth_bump_field(1.0), params, _admissible_grid(params), spec)
-        return {"report": rep}, [rep["verdict"]]
-    if sid == "lemma-3.1":
+    elif sid == "lemma-3.1":
         rep = run_truncation_convergence(
             polynomial_tail_field(3.0), params, _float_ladder(opts, [1, 2, 4, 8, 16]), spec, cutoff
         )
-        return {"report": rep.as_dict()}, [rep.verdict]
-    if sid in ("prop-4.1", "prop-4.2"):
+    elif sid in ("prop-4.1", "prop-4.2"):
         kind = WeightKind.PAIR if sid == "prop-4.1" else WeightKind.POINT
         rep = check_averaged_weight_bound(kind, params, opts["trials"], opts["seed"])
-        return {"report": rep.as_dict()}, [rep.verdict]
-    if sid == "lemma-4.3":
+    elif sid == "lemma-4.3":
         base = hat_1d_field() if params.n == 1 else smooth_bump_field(1.0)
         V = lift_difference_quotient(base, params)
-        rep = check_maximal_bound(V, WeightKind.PAIR, params, params.p, [0.1, 1.0, 10.0], spec)
-        return {"report": rep.as_dict()}, [rep.verdict]
-    if sid in ("prop-4.4", "prop-4.5"):
+        rep = check_maximal_bound(V, params, params.p, [0.1, 1.0, 10.0], spec)
+    elif sid in ("prop-4.4", "prop-4.5"):
         u = field_from_spec(opts["field"], space=params)
         entry = lift_difference_quotient(u, params) if sid == "prop-4.4" else u
         rep = check_star_convolution_bound(
             entry, params, default_mollifier(params.n), spec, conv_grid=opts["conv_grid"]
         )
-        return {"report": rep.as_dict()}, [rep.verdict]
-    if sid == "lemma-5.1":
+    elif sid == "lemma-5.1":
         if params.n == 1:
             base = make_field("singular_spike", space=params, gamma=0.2, R=1.0)
         else:
             base = smooth_bump_field(1.0)
         v = lift_difference_quotient(base, params)
         rep = run_clipping_convergence(v, params, _float_ladder(opts, [1, 4, 16, 64, 256]), spec)
-        return {"report": rep.as_dict()}, [rep.verdict]
-    if sid == "eq-6.4":
+    elif sid == "eq-6.4":
         u = field_from_spec(opts["field"], space=params)
         rep = check_commutation_identity(
             u, params, opts["eps"], 100, opts["seed"], default_mollifier(params.n), opts["conv_grid"]
         )
-        return {"report": rep}, [rep["verdict"]]
-    if sid == "lemma-6.1":
+    elif sid == "lemma-6.1":
         u = field_from_spec(opts["field"], space=params)
         rep = run_mollification_convergence(
             u, params, _float_ladder(opts, [1, 0.5, 0.25, 0.1, 0.05]), spec,
             default_mollifier(params.n), opts["conv_grid"],
         )
-        return {"report": rep.as_dict()}, [rep.verdict]
-    if sid == "theorem-1.1":
+    elif sid == "theorem-1.1":
         u = polynomial_tail_field(3.0)
         base = norm_full(u, params, spec)
-        delta = opts["delta_frac"] * base.full
+        extra["base_norm"] = base
         rep = run_density_experiment(
-            u, params, delta, spec, cutoff, default_mollifier(params.n), opts["conv_grid"]
+            u, params, opts["delta_frac"] * base.full, spec, cutoff, default_mollifier(params.n),
+            opts["conv_grid"],
         )
-        return {"report": rep, "base_norm": base.as_dict()}, [rep["verdict"]]
-    if sid == "sobolev-ineq":
+    elif sid == "sobolev-ineq":
         fields = [smooth_bump_field(1.0), smooth_bump_field(3.0)]
         rep = check_sobolev_inequality(fields, params, spec)
-        return {"report": rep.as_dict()}, [rep.verdict]
-    raise UsageError(f"unknown statement id {sid!r}")
+    else:
+        raise UsageError(f"unknown statement id {sid!r}")
+    return {"report": rep, **extra}, [rep["verdict"]]
 
 
 def run_command(config: RunConfig) -> tuple:

@@ -38,15 +38,6 @@ class NormReport:
     params: SpaceParams
     field_id: str
 
-    def as_dict(self) -> dict:
-        return {
-            "seminorm": self.seminorm.as_dict(),
-            "lpstar": self.lpstar.as_dict(),
-            "full": self.full,
-            "params": self.params.as_dict(),
-            "field_id": self.field_id,
-        }
-
 
 def _root(est: Estimate, power: float) -> Estimate:
     """x -> x^(1/power) with first-order delta-method error propagation."""

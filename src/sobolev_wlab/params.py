@@ -36,16 +36,6 @@ class SpaceParams:
     def sp(self) -> float:
         return self.s * self.p
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "p": self.p,
-            "a": self.a,
-            "p_star": self.p_star,
-            "b": self.b,
-        }
-
 
 @dataclass(frozen=True)
 class GeneralWeightParams:

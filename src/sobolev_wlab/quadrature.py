@@ -106,16 +106,6 @@ class Estimate:
     tail_truncation_bound: float = 0.0
     flags: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples_used": self.samples_used,
-            "spec_digest": self.spec_digest,
-            "tail_truncation_bound": self.tail_truncation_bound,
-            "flags": list(self.flags),
-        }
-
 
 def resolve_outer_radius(spec: QuadratureSpec, support_radius: float) -> float:
     if spec.outer_radius is not None:
@@ -258,13 +248,6 @@ def _combine_chunks(chunk_means: np.ndarray, samples_used: int, digest: str) -> 
     )
 
 
-def _weight_power(r: np.ndarray, exponent: float) -> np.ndarray:
-    """r^(-exponent) with the convention 0^-e -> 0 contribution guard upstream."""
-    if exponent == 0.0:
-        return np.ones_like(r)
-    return r ** (-exponent)
-
-
 def estimate_weighted_integral_Rn(
     integrand: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -287,7 +270,7 @@ def estimate_weighted_integral_Rn(
 
     def evaluate(x):
         r = np.linalg.norm(x, axis=1)
-        return integrand(x) * _weight_power(r, weight_exponent) / mix.density(r)
+        return integrand(x) * r ** (-weight_exponent) / mix.density(r)
 
     return _combine_chunks(_fold_chunks(spec, draw, evaluate), spec.samples, digest)
 
@@ -299,8 +282,8 @@ def estimate_pair_integral_singular(
     beta: float,
     sp: float,
     spec: QuadratureSpec,
+    kappa: float,
     x_support_radius: float = np.inf,
-    kappa: Optional[float] = None,
     label: str = "",
 ) -> Estimate:
     """Estimate the 2n-dimensional weighted integral
@@ -310,32 +293,23 @@ def estimate_pair_integral_singular(
     for a nonnegative g concentrated near the diagonal (its far field must
     decay at least like the fractional kernel, radially |z|^(-n-sp) in
     z = y - x).  Sampling: x from a weighted ball + Pareto mixture, z from
-    a near-singularity power density + Pareto tail, evaluated in antithetic
-    pairs (z, -z).  Default tail indices are s*p shifted down by any
-    negative weight exponent so the importance weights stay bounded.
+    a near-singularity power density of radial index ``kappa`` + Pareto
+    tail, evaluated in antithetic pairs (z, -z).  The default tail index of
+    both is s*p shifted down by any negative weight exponent so the
+    importance weights stay bounded.
     """
     R = resolve_outer_radius(spec, x_support_radius)
     # the balance heuristic below scores each sample under both argument
     # orderings, so the proposal must cover the worse of the two weight
     # exponents: singular mass at the origin for max(alpha, beta) and a tail
     # heavy enough for the faster-growing weight, min(alpha, beta, 0)
-    t_sym = (
-        spec.tail_exponent
-        if spec.tail_exponent is not None
-        else sp + min(alpha, beta, 0.0)
-    )
-    t_x = t_z = t_sym
-    if t_x <= 0 or t_z <= 0:
-        raise NonNormalizableDensity(
-            f"derived tail indices ({t_x}, {t_z}) not normalizable; override tail_exponent"
-        )
-    kap = kappa if kappa is not None else spec.near_exponent
-    if kap is None:
-        raise ParameterOutOfRange("near exponent could not be derived; set near_exponent")
+    t = spec.tail_exponent if spec.tail_exponent is not None else sp + min(alpha, beta, 0.0)
+    if t <= 0:
+        raise NonNormalizableDensity(f"derived tail index {t} not normalizable; override tail_exponent")
     # ball density follows the stronger weight singularity (valid below n)
-    mix_x = _RadialMixture(n=n, c=max(alpha, beta), R=R, t=t_x)
-    mix_z = _NearFarMixture(n=n, kappa=kap, t=t_z)
-    digest = spec.digest(f"pair:{label}:a={alpha}:b={beta}:sp={sp}:kap={kap}")
+    mix_x = _RadialMixture(n=n, c=max(alpha, beta), R=R, t=t)
+    mix_z = _NearFarMixture(n=n, kappa=kappa, t=t)
+    digest = spec.digest(f"pair:{label}:a={alpha}:b={beta}:sp={sp}:kap={kappa}")
 
     def draw(rng, m):
         rx = mix_x.sample_radii(rng, m)

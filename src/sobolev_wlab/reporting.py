@@ -11,7 +11,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import IoError
@@ -29,16 +29,6 @@ class ResultRecord:
     config: dict
     outputs: dict
     verdicts: list
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "timestamp": self.timestamp,
-            "command": self.command,
-            "config": self.config,
-            "outputs": self.outputs,
-            "verdicts": list(self.verdicts),
-        }
 
 
 def make_record(command: str, config: dict, outputs: dict, verdicts: list) -> ResultRecord:
@@ -156,16 +146,21 @@ def _ladder_series(outputs: dict) -> Optional[tuple]:
 
 
 def write_outputs(record: ResultRecord, formats, output_dir: str, stem: str) -> list:
-    """Write the record in the requested formats; returns the written paths."""
+    """Write the record in the requested formats; returns the written paths.
+
+    The record is rendered once, by ``dataclasses.asdict``, so the reports
+    inside it may hold dataclasses such as ``Estimate`` and ``SpaceParams``.
+    """
+    tree = asdict(record)
     written = []
     try:
         os.makedirs(output_dir, exist_ok=True)
         if "json" in formats:
             path = os.path.join(output_dir, stem + ".json")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(record.as_dict()))
+                fh.write(canonical_json(tree))
             written.append(path)
-        ladder = _ladder_series(record.outputs)
+        ladder = _ladder_series(tree["outputs"])
         if "csv" in formats and ladder is not None:
             path = os.path.join(output_dir, stem + ".csv")
             with open(path, "w", encoding="utf-8") as fh:

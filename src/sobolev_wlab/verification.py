@@ -10,8 +10,7 @@ choices recorded in every report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .fields import (
     ScalarField,
     ball_volume,
     clip_to_level,
+    dilate,
     lift_difference_quotient,
     pair_subtract,
     subtract,
@@ -40,6 +40,7 @@ from .params import GeneralWeightParams, SpaceParams, WeightKind, weight_value
 from .quadrature import (
     Estimate,
     FLAG_UNSTABLE,
+    METHOD_TENSOR_ORACLE,
     N_CHUNKS,
     QuadratureSpec,
     _RadialMixture,
@@ -52,58 +53,23 @@ from .quadrature import (
     pin_outer_radius,
     resolve_outer_radius,
 )
-from .smoothing import convolve_field, pipeline_rho, star_convolve_field
+from .smoothing import convolve_field, pipeline_rho, star_convolve_field, truncate
 
 STABILIZATION_SLACK = 0.05
 FINAL_OVER_INITIAL = 0.1
+# log10 range of the radii drawn by the averaged weight bound
+DECADES = (-3.0, 3.0)
+# unit-ball offsets shared by the outer points of a chunk in the maximal bound
+MAXIMAL_INNER_SAMPLES = 512
+COMMUTATION_REL_TOL = 1e-4
+# dilations under which the Sobolev ratio must stay put
+SOBOLEV_SCALES = (0.5, 2.0)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    statement_id: str
-    measured_constant: float
-    witness: dict
-    trials: int
-    verdict: str  # "BoundedStable" | "Unstable"
-    params: SpaceParams
-    seed: int
-    details: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "statement_id": self.statement_id,
-            "measured_constant": self.measured_constant,
-            "witness": self.witness,
-            "trials": self.trials,
-            "verdict": self.verdict,
-            "params": self.params.as_dict(),
-            "seed": self.seed,
-            "details": self.details,
-        }
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    statement_id: str
-    knob: str  # "j" | "epsilon" | "M"
-    ladder: list
-    errors: list  # list of Estimate
-    verdict: str  # "Decreasing" | "NonMonotone"
-    final_over_initial: float
-    params: SpaceParams
-    details: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "statement_id": self.statement_id,
-            "knob": self.knob,
-            "ladder": list(self.ladder),
-            "errors": [e.as_dict() for e in self.errors],
-            "verdict": self.verdict,
-            "final_over_initial": self.final_over_initial,
-            "params": self.params.as_dict(),
-            "details": self.details,
-        }
+def _if_sampled(spec: QuadratureSpec, value):
+    """``value`` (a Monte Carlo budget or seed) as a record states it: none
+    under the tensor oracle, which draws no samples."""
+    return None if spec.method == METHOD_TENSOR_ORACLE else value
 
 
 def _full_norm_estimate(u: ScalarField, params: SpaceParams, spec: QuadratureSpec) -> Estimate:
@@ -117,7 +83,20 @@ def _full_norm_estimate(u: ScalarField, params: SpaceParams, spec: QuadratureSpe
     )
 
 
-def _ladder_verdict(ladder: Sequence[float], errors: Sequence[Estimate]) -> tuple[str, float]:
+def _truncation_error(u, j, cutoff, params, spec) -> Estimate:
+    return _full_norm_estimate(subtract(u, truncate(u, j, cutoff)), params, spec)
+
+
+def _mollification_error(u, eps, mollifier, conv_grid, params, spec) -> Estimate:
+    return _full_norm_estimate(subtract(u, convolve_field(u, eps, mollifier, conv_grid)), params, spec)
+
+
+def _ladder_report(statement_id: str, knob: str, ladder: Sequence[float],
+                   error_at: Callable[[float], Estimate], params: SpaceParams, details: dict) -> dict:
+    """The errors along the ladder; "Decreasing" when each step stays within
+    two stderrs of the one before and the last error is at most
+    FINAL_OVER_INITIAL of the first (a single rung passes vacuously)."""
+    errors = [error_at(k) for k in ladder]
     vals = [e.value for e in errors]
     monotone = all(
         vals[i + 1] <= vals[i] + 2.0 * (errors[i].stderr + errors[i + 1].stderr)
@@ -129,10 +108,17 @@ def _ladder_verdict(ladder: Sequence[float], errors: Sequence[Estimate]) -> tupl
     else:
         ratio = vals[-1] / vals[0]
         shrunk = ratio <= FINAL_OVER_INITIAL
-    if len(vals) == 1:
-        return "Decreasing", ratio
-    verdict = "Decreasing" if (monotone and shrunk) else "NonMonotone"
-    return verdict, ratio
+    passed = len(vals) == 1 or (monotone and shrunk)
+    return {
+        "statement_id": statement_id,
+        "knob": knob,
+        "ladder": list(map(float, ladder)),
+        "errors": errors,
+        "verdict": "Decreasing" if passed else "NonMonotone",
+        "final_over_initial": ratio,
+        "params": params,
+        "details": details,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +153,13 @@ def check_averaged_weight_bound(
     trials: int,
     seed: int,
     inner_samples: int = 64,
-    decades: tuple = (-3.0, 3.0),
-    statement_id: Optional[str] = None,
-) -> BoundReport:
-    """Sample (x, y, r) log-uniformly over six decades and measure the sup of
+) -> dict:
+    """Sample (x, y, r) log-uniformly over the DECADES and measure the sup of
     Theta(X) * (ball average of 1/Theta(X + shift(z)))."""
     n = params.n
-    sid = statement_id or ("prop-4.1" if kind is WeightKind.PAIR else "prop-4.2")
+    sid = "prop-4.1" if kind is WeightKind.PAIR else "prop-4.2"
     rng = _chunk_rng(seed, 1_000_003)
-    lo, hi = decades
+    lo, hi = DECADES
     products = np.empty(trials)
     witnesses = []
     for i in range(trials):
@@ -225,25 +209,25 @@ def check_averaged_weight_bound(
         max_first = max_all
     stable = max_all <= (1.0 + STABILIZATION_SLACK) * max_first
     wX, wr = witnesses[idx]
-    return BoundReport(
-        statement_id=sid,
-        measured_constant=max_all,
-        witness={"X": list(map(float, wX)), "r": float(wr), "trial": idx},
-        trials=trials,
-        verdict="BoundedStable" if stable else "Unstable",
-        params=params,
-        seed=seed,
-        details={
+    return {
+        "statement_id": sid,
+        "measured_constant": max_all,
+        "witness": {"X": list(map(float, wX)), "r": float(wr), "trial": idx},
+        "trials": trials,
+        "verdict": "BoundedStable" if stable else "Unstable",
+        "params": params,
+        "seed": seed,
+        "details": {
             "kind": kind.value,
             "max_first_half": max_first,
             "unit_ball_volume": ball_volume(n),
             "inner_samples": inner_samples * N_CHUNKS,
             "refined_inner_samples": refine,
             "top_candidates_refined": top_k,
-            "decades": list(decades),
+            "decades": list(DECADES),
             "stabilization_slack": STABILIZATION_SLACK,
         },
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -251,54 +235,42 @@ def check_averaged_weight_bound(
 
 
 def check_maximal_bound(
-    V: Union[PairField, ScalarField],
-    kind: WeightKind,
+    V: PairField,
     params: SpaceParams,
     q: float,
     r_ladder: Sequence[float],
     spec: QuadratureSpec,
-    inner_samples: int = 512,
-    statement_id: str = "lemma-4.3",
-) -> BoundReport:
-    """Ratio of the averaged-function weighted energy to the plain weighted
-    energy, maximized over the radius ladder."""
+) -> dict:
+    """Ratio of the averaged-function energy to the plain energy under the
+    pair weight, maximized over the radius ladder."""
     if q <= 1:
         raise ParameterOutOfRange(f"maximal bound needs q > 1, got {q}")
-    n = params.n
-    is_pair = kind is WeightKind.PAIR
-    exponent = params.a if is_pair else params.b
-    R = resolve_outer_radius(spec, V.x_support_radius if is_pair else V.support_radius)
-    mix = _RadialMixture(n=n, c=exponent, R=R, t=params.sp)
+    n, a = params.n, params.a
+    mix = _RadialMixture(n=n, c=a, R=resolve_outer_radius(spec, V.x_support_radius), t=params.sp)
 
     # common random numbers: one fixed batch of outer points for every
     # radius, and per chunk one batch of unit-ball offsets shared by its points
     def draw(rng, m):
         x = _directions(rng, m, n) * mix.sample_radii(rng, m)[:, None]
-        y = _directions(rng, m, n) * mix.sample_radii(rng, m)[:, None] if is_pair else x
+        y = _directions(rng, m, n) * mix.sample_radii(rng, m)[:, None]
         zu = (
-            _directions(rng, inner_samples, n)
-            * _guard_unit(rng.random(inner_samples))[:, None] ** (1.0 / n)
+            _directions(rng, MAXIMAL_INNER_SAMPLES, n)
+            * _guard_unit(rng.random(MAXIMAL_INNER_SAMPLES))[:, None] ** (1.0 / n)
         )
-        return x, y, np.broadcast_to(zu, (m, inner_samples, n))
-
-    def abs_V(px, py):
-        return np.abs(V(px, py)) if is_pair else np.abs(V(px))
+        return x, y, np.broadcast_to(zu, (m, MAXIMAL_INNER_SAMPLES, n))
 
     def evaluate(x, y, zu):
         # rows: the plain energy density, then the averaged one per radius
         rx = np.linalg.norm(x, axis=1)
-        qdens = mix.density(rx)
-        theta_inv = rx ** (-exponent)
-        if is_pair:
-            ry = np.linalg.norm(y, axis=1)
-            qdens = qdens * mix.density(ry)
-            theta_inv = rx ** (-params.a) * ry ** (-params.a)
-        rows = [abs_V(x, y) ** q * theta_inv / qdens]
+        ry = np.linalg.norm(y, axis=1)
+        qdens = mix.density(rx) * mix.density(ry)
+        theta_inv = rx ** (-a) * ry ** (-a)
+        rows = [np.abs(V(x, y)) ** q * theta_inv / qdens]
         for r in r_ladder:
             pz = zu * r
             px = (x[:, None, :] - pz).reshape(-1, n)
-            py = (y[:, None, :] - pz).reshape(-1, n) if is_pair else None
-            avgs = abs_V(px, py).reshape(len(x), -1).mean(axis=1) * ball_volume(n)
+            py = (y[:, None, :] - pz).reshape(-1, n)
+            avgs = np.abs(V(px, py)).reshape(len(x), -1).mean(axis=1) * ball_volume(n)
             rows.append(avgs**q * theta_inv / qdens)
         return np.stack(rows)
 
@@ -307,21 +279,21 @@ def check_maximal_bound(
     ratios = {float(r): float(e) / rhs if rhs > 0 else 0.0 for r, e in zip(r_ladder, energies[1:])}
     measured = max(ratios.values()) if rhs > 0 else 0.0
     finite = all(np.isfinite(v) for v in ratios.values())
-    return BoundReport(
-        statement_id=statement_id,
-        measured_constant=float(measured),
-        witness={"r": max(ratios, key=ratios.get) if ratios else None},
-        trials=spec.samples,
-        verdict="BoundedStable" if finite else "Unstable",
-        params=params,
-        seed=spec.seed,
-        details={
+    return {
+        "statement_id": "lemma-4.3",
+        "measured_constant": float(measured),
+        "witness": {"r": max(ratios, key=ratios.get) if ratios else None},
+        "trials": spec.samples,
+        "verdict": "BoundedStable" if finite else "Unstable",
+        "params": params,
+        "seed": spec.seed,
+        "details": {
             "q": q,
             "ratios": {str(k): v for k, v in ratios.items()},
             "rhs_energy": rhs,
             "field": V.label,
         },
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +307,10 @@ def check_star_convolution_bound(
     spec: QuadratureSpec,
     eps_ladder: Sequence[float] = (1.0, 0.5, 0.1),
     conv_grid: int = 128,
-    statement_id: Optional[str] = None,
-) -> BoundReport:
+) -> dict:
     """Ratio of the weighted energy of the mollified field to the energy of
     the field itself, with common random numbers, across an epsilon ladder."""
     is_pair = isinstance(entry, PairField)
-    sid = statement_id or ("prop-4.4" if is_pair else "prop-4.5")
     spec = pin_outer_radius(spec, entry.x_support_radius if is_pair else entry.support_radius)
 
     def energy(field):
@@ -364,22 +334,22 @@ def check_star_convolution_bound(
     cap = 1.25
     variation = max(abs(v - 1.0) for v in vals)
     stable = all(np.isfinite(v) for v in vals) and max(vals) <= cap
-    return BoundReport(
-        statement_id=sid,
-        measured_constant=float(max(vals)),
-        witness={"epsilon": max(ratios, key=ratios.get)},
-        trials=spec.samples,
-        verdict="BoundedStable" if stable else "Unstable",
-        params=params,
-        seed=spec.seed,
-        details={
+    return {
+        "statement_id": "prop-4.4" if is_pair else "prop-4.5",
+        "measured_constant": float(max(vals)),
+        "witness": {"epsilon": max(ratios, key=ratios.get)},
+        "trials": _if_sampled(spec, spec.samples),
+        "verdict": "BoundedStable" if stable else "Unstable",
+        "params": params,
+        "seed": _if_sampled(spec, spec.seed),
+        "details": {
             "ratios": {str(k): v for k, v in ratios.items()},
             "variation_from_unity": float(variation),
             "ratio_cap": cap,
             "denominator_energy": den.value,
             "field": entry.label,
         },
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +364,6 @@ def check_commutation_identity(
     seed: int,
     mollifier: MollifierProfile,
     conv_grid: int = 256,
-    rel_tol: float = 1e-4,
 ) -> dict:
     """Max residual between the diagonal-shift convolution of the lift and the
     lift of the convolution, at random off-diagonal pairs."""
@@ -411,7 +380,7 @@ def check_commutation_identity(
     rhs = lift_difference_quotient(u_eps, params)(x, y)
     residual = float(np.max(np.abs(lhs - rhs)))
     ref = max(float(np.max(np.abs(rhs))), 1e-12)
-    passed = residual <= 2.0 * rel_tol * ref
+    tolerance = 2.0 * COMMUTATION_REL_TOL * ref
     return {
         "statement_id": "eq-6.4",
         "field": u.label,
@@ -420,8 +389,8 @@ def check_commutation_identity(
         "seed": seed,
         "max_residual": residual,
         "reference_scale": ref,
-        "tolerance": 2.0 * rel_tol * ref,
-        "verdict": "Pass" if passed else "Fail",
+        "tolerance": tolerance,
+        "verdict": "Pass" if residual <= tolerance else "Fail",
     }
 
 
@@ -435,23 +404,11 @@ def run_truncation_convergence(
     j_ladder: Sequence[float],
     spec: QuadratureSpec,
     cutoff: CutoffProfile,
-) -> ConvergenceReport:
-    from .smoothing import truncate
-
+) -> dict:
     spec = pin_outer_radius(spec, u.support_radius)
-    errors = [
-        _full_norm_estimate(subtract(u, truncate(u, j, cutoff)), params, spec) for j in j_ladder
-    ]
-    verdict, ratio = _ladder_verdict(j_ladder, errors)
-    return ConvergenceReport(
-        statement_id="lemma-3.1",
-        knob="j",
-        ladder=list(map(float, j_ladder)),
-        errors=errors,
-        verdict=verdict,
-        final_over_initial=ratio,
-        params=params,
-        details={"field": u.label},
+    return _ladder_report(
+        "lemma-3.1", "j", j_ladder,
+        lambda j: _truncation_error(u, j, cutoff, params, spec), params, {"field": u.label},
     )
 
 
@@ -462,22 +419,12 @@ def run_mollification_convergence(
     spec: QuadratureSpec,
     mollifier: MollifierProfile,
     conv_grid: int = 128,
-) -> ConvergenceReport:
+) -> dict:
     spec = pin_outer_radius(spec, u.support_radius)
-    errors = [
-        _full_norm_estimate(subtract(u, convolve_field(u, eps, mollifier, conv_grid)), params, spec)
-        for eps in eps_ladder
-    ]
-    verdict, ratio = _ladder_verdict(eps_ladder, errors)
-    return ConvergenceReport(
-        statement_id="lemma-6.1",
-        knob="epsilon",
-        ladder=list(map(float, eps_ladder)),
-        errors=errors,
-        verdict=verdict,
-        final_over_initial=ratio,
-        params=params,
-        details={"field": u.label, "conv_grid": conv_grid},
+    return _ladder_report(
+        "lemma-6.1", "epsilon", eps_ladder,
+        lambda eps: _mollification_error(u, eps, mollifier, conv_grid, params, spec),
+        params, {"field": u.label, "conv_grid": conv_grid},
     )
 
 
@@ -486,23 +433,13 @@ def run_clipping_convergence(
     params: SpaceParams,
     M_ladder: Sequence[float],
     spec: QuadratureSpec,
-) -> ConvergenceReport:
-    spec = pin_outer_radius(spec, v.x_support_radius)
-    errors = []
-    for M in M_ladder:
-        diff = pair_subtract(v, clip_to_level(v, M))
-        errors.append(norm_lpaa_2n(diff, params, spec))
+) -> dict:
     # the ladder increases in M, so "decreasing" means errors shrink as M grows
-    verdict, ratio = _ladder_verdict(M_ladder, errors)
-    return ConvergenceReport(
-        statement_id="lemma-5.1",
-        knob="M",
-        ladder=list(map(float, M_ladder)),
-        errors=errors,
-        verdict=verdict,
-        final_over_initial=ratio,
-        params=params,
-        details={"field": v.label},
+    spec = pin_outer_radius(spec, v.x_support_radius)
+    return _ladder_report(
+        "lemma-5.1", "M", M_ladder,
+        lambda M: norm_lpaa_2n(pair_subtract(v, clip_to_level(v, M)), params, spec),
+        params, {"field": v.label},
     )
 
 
@@ -518,61 +455,41 @@ def run_density_experiment(
 ) -> dict:
     """The end-to-end schedule: find j with truncation error below delta/2 by
     doubling, then epsilon with mollification error below delta/2 by halving."""
-    from .smoothing import truncate
-
     if delta <= 0:
         raise ParameterOutOfRange("delta must be positive")
     spec = pin_outer_radius(spec, u.support_radius)
-    j = 1.0
-    j_found = None
-    trunc_err = None
-    for _ in range(max_steps):
-        est = _full_norm_estimate(subtract(u, truncate(u, j, cutoff)), params, spec)
-        if est.value < delta / 2.0:
-            j_found, trunc_err = j, est
-            break
-        j *= 2.0
-    if j_found is None:
-        return {
-            "statement_id": "theorem-1.1",
-            "field": u.label,
-            "delta": delta,
-            "verdict": "FailureAtBudget",
-            "stage": "truncation",
-            "max_steps": max_steps,
-        }
-    w = truncate(u, j_found, cutoff)
-    eps = 1.0
-    eps_found = None
-    moll_err = None
-    for _ in range(max_steps):
-        est = _full_norm_estimate(
-            subtract(w, convolve_field(w, eps, mollifier, conv_grid)), params, spec
-        )
-        if est.value < delta / 2.0:
-            eps_found, moll_err = eps, est
-            break
-        eps /= 2.0
-    if eps_found is None:
-        return {
-            "statement_id": "theorem-1.1",
-            "field": u.label,
-            "delta": delta,
-            "verdict": "FailureAtBudget",
-            "stage": "mollification",
-            "j": j_found,
-            "max_steps": max_steps,
-        }
-    rho = pipeline_rho(u, j_found, eps_found, cutoff, mollifier, conv_grid)
+    head = {"statement_id": "theorem-1.1", "field": u.label, "delta": delta}
+
+    def search(error_at, knob, step):
+        """The first of knob, knob * step, ... (max_steps of them) whose
+        error is below delta/2, with that error; (None, None) if none is."""
+        for _ in range(max_steps):
+            est = error_at(knob)
+            if est.value < delta / 2.0:
+                return knob, est
+            knob *= step
+        return None, None
+
+    def failure(stage, **found):
+        return {**head, "verdict": "FailureAtBudget", "stage": stage, **found, "max_steps": max_steps}
+
+    j, trunc_err = search(lambda j: _truncation_error(u, j, cutoff, params, spec), 1.0, 2.0)
+    if j is None:
+        return failure("truncation")
+    w = truncate(u, j, cutoff)
+    eps, moll_err = search(
+        lambda eps: _mollification_error(w, eps, mollifier, conv_grid, params, spec), 1.0, 0.5
+    )
+    if eps is None:
+        return failure("mollification", j=j)
+    rho = pipeline_rho(u, j, eps, cutoff, mollifier, conv_grid)
     return {
-        "statement_id": "theorem-1.1",
-        "field": u.label,
-        "delta": delta,
+        **head,
         "verdict": "Success",
-        "j": j_found,
-        "epsilon": eps_found,
-        "truncation_error": trunc_err.as_dict(),
-        "mollification_error": moll_err.as_dict(),
+        "j": j,
+        "epsilon": eps,
+        "truncation_error": trunc_err,
+        "mollification_error": moll_err,
         "achieved_error_bound": trunc_err.value + moll_err.value,
         "rho_support_radius": rho.support_radius,
         "rho_smoothness": rho.smoothness,
@@ -613,7 +530,7 @@ def check_finiteness_smooth(
         "grid": entries,
         "unstable_count": unstable,
         "verdict": "AllStable" if unstable == 0 else "Unstable",
-        "seed": spec.seed,
+        "seed": _if_sampled(spec, spec.seed),
     }
 
 
@@ -621,11 +538,7 @@ def check_sobolev_inequality(
     fields: Sequence[ScalarField],
     params: SpaceParams,
     spec: QuadratureSpec,
-    scales: Sequence[float] = (0.5, 2.0),
-    statement_id: str = "sobolev-ineq",
-) -> BoundReport:
-    from .fields import dilate
-
+) -> dict:
     ratios = []
     scale_checks = []
 
@@ -646,7 +559,7 @@ def check_sobolev_inequality(
     for u in fields:
         r0, s0 = ratio_of(u)
         ratios.append({"field": u.label, "ratio": r0, "stderr": s0})
-        for lam in scales:
+        for lam in SOBOLEV_SCALES:
             rl, sl = ratio_of(dilate(u, lam))
             tol = 3.0 * (s0 + sl) + 0.02 * r0
             scale_checks.append(
@@ -663,13 +576,13 @@ def check_sobolev_inequality(
     measured = max(r["ratio"] for r in ratios)
     stable = all(c["ok"] for c in scale_checks) and np.isfinite(measured)
     best = max(ratios, key=lambda r: r["ratio"])
-    return BoundReport(
-        statement_id=statement_id,
-        measured_constant=float(measured),
-        witness={"field": best["field"]},
-        trials=len(ratios),
-        verdict="BoundedStable" if stable else "Unstable",
-        params=params,
-        seed=spec.seed,
-        details={"ratios": ratios, "scale_checks": scale_checks},
-    )
+    return {
+        "statement_id": "sobolev-ineq",
+        "measured_constant": float(measured),
+        "witness": {"field": best["field"]},
+        "trials": len(ratios),
+        "verdict": "BoundedStable" if stable else "Unstable",
+        "params": params,
+        "seed": _if_sampled(spec, spec.seed),
+        "details": {"ratios": ratios, "scale_checks": scale_checks},
+    }

@@ -127,10 +127,10 @@ def test_criterion_04_averaged_weight_bound(acceptance_line):
     consts = {}
     for kind in (WeightKind.PAIR, WeightKind.POINT):
         rep = check_averaged_weight_bound(kind, params, trials=10_000, seed=SEED)
-        ok = ok and rep.verdict == "BoundedStable" and np.isfinite(rep.measured_constant)
-        consts[kind.value] = rep.measured_constant
+        ok = ok and rep["verdict"] == "BoundedStable" and np.isfinite(rep["measured_constant"])
+        consts[kind.value] = rep["measured_constant"]
         rep0 = check_averaged_weight_bound(kind, params0, trials=1000, seed=SEED)
-        ok = ok and abs(rep0.measured_constant - np.pi) <= 1e-12
+        ok = ok and abs(rep0["measured_constant"] - np.pi) <= 1e-12
     acceptance_line(
         f"[criterion-04] averaged weight bound (1e4 trials, constants "
         f"pair {consts['pair']:.3f} point {consts['point']:.3f}, a=0 == pi): "
@@ -152,8 +152,8 @@ def test_criterion_05_convolution_bounds(acceptance_line):
         rep = check_star_convolution_bound(
             entry, params, default_mollifier(1), spec, eps_ladder=(1.0, 0.5, 0.1), conv_grid=96
         )
-        vals = list(rep.details["ratios"].values())
-        ok = ok and rep.verdict == "BoundedStable" and max(vals) <= 1.25
+        vals = list(rep["details"]["ratios"].values())
+        ok = ok and rep["verdict"] == "BoundedStable" and max(vals) <= 1.25
         maxima[label] = max(vals)
     acceptance_line(
         f"[criterion-05] convolution bounds (ratio cap 1.25, max pair "
@@ -174,12 +174,12 @@ def test_criterion_06_truncation_convergence(acceptance_line):
     rep = run_truncation_convergence(
         polynomial_tail_field(3.0), params, [1, 2, 4, 8, 16], spec, default_cutoff()
     )
-    vals = [e.value for e in rep.errors]
-    ok = rep.verdict == "Decreasing" and vals[-1] <= 0.1 * vals[0]
+    vals = [e.value for e in rep["errors"]]
+    ok = rep["verdict"] == "Decreasing" and vals[-1] <= 0.1 * vals[0]
     compact = run_truncation_convergence(
         smooth_bump_field(1.0), params, [1, 2], spec, default_cutoff()
     )
-    ok = ok and all(e.value == 0.0 for e in compact.errors)
+    ok = ok and all(e.value == 0.0 for e in compact["errors"])
     acceptance_line(
         f"[criterion-06] truncation convergence (final/initial "
         f"{vals[-1] / vals[0]:.4f} <= 0.1, compact-support zeros exact): "
@@ -197,8 +197,8 @@ def test_criterion_07_mollification_convergence(acceptance_line):
         rep = run_mollification_convergence(
             u, params, [1, 0.5, 0.25, 0.1, 0.05], spec, default_mollifier(1), 96
         )
-        vals = [e.value for e in rep.errors]
-        ok = ok and rep.verdict == "Decreasing" and vals[-1] <= 0.1 * vals[0]
+        vals = [e.value for e in rep["errors"]]
+        ok = ok and rep["verdict"] == "Decreasing" and vals[-1] <= 0.1 * vals[0]
         ratios[name] = vals[-1] / vals[0]
     acceptance_line(
         f"[criterion-07] mollification convergence (final/initial "

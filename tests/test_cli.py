@@ -1,10 +1,12 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from sobolev_wlab.cli import main, parse_config, read_config_file
+from sobolev_wlab.cli import STATEMENT_IDS, main, parse_config, read_config_file
 from sobolev_wlab.errors import UsageError
+from sobolev_wlab.reporting import canonical_json
 
 BASE = ["--n", "1", "--s", "0.3", "--p", "2", "--a", "0.1"]
 
@@ -125,3 +127,63 @@ def test_monte_carlo_only_statements_refuse_the_oracle(sid, tmp_path, capsys):
     assert code == 1
     assert "tensor-oracle" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# sha256 of the canonical JSON of each record (timestamp and out dir dropped)
+# at n=1, s=0.3, p=2, a=0.1, seed 7, 6,400 samples, 20 trials, conv grid 32
+GOLDEN_RECORDS = {
+    "lemma-2.1": "b0cc6d00bb2ce5c53a7ff295bd5148b257d3c9a357b416e85020716b67748ec5",
+    "lemma-3.1": "97228b11f7b040f87513535ce6bf1c29c8d7bbda967d3c47259784ee1f8843e9",
+    "prop-4.1": "43de0286009b9f179a1e6100c2211cbb6d0e5947bc978c6a791b74e7a89de089",
+    "prop-4.2": "68aa2fb408fef4b04d3437e4f0c50ba5e8a3b6768d0ae524821fa108113a31fd",
+    "lemma-4.3": "377152d0fe6cdb56e2572e87cfaef6b574013772e483f437f30df346d2b61422",
+    "prop-4.4": "e3041f7ce74bd18e7769a0cf68d6aee3dc1c83e5b9d99dfcbbdb2fc38dafe7dc",
+    "prop-4.5": "6202420ff15631c36a07f79a7336377e369ed5ed464b4b3fa6d9eb57e936e21e",
+    "lemma-5.1": "a7b77517c2788d1ecc37a5806979c1fe5b6a49058f0dae71d17783711667f515",
+    "eq-6.4": "24f5c77378dff0ee9cafb45294dfd89d22e4fbc6f35de9874d37835f30197809",
+    "lemma-6.1": "9b24bf600f482151cebd25ee3ca4a0cb22a6b53ea947aae5c461a3a17755249c",
+    "theorem-1.1": "b7ef0663645aab7794d28a72c69a1b5d438271b522a6299f1610eebbb1aa96fd",
+    "sobolev-ineq": "bfcc3b0538ac9963f52eda95f9dc205332a3b53af9924f8ca7691843889f3fbb",
+    "norm": "40d67599c77f2b48af33e86fd43fcc0d1959da4d5fc6aec06517de26fa29399f",
+    "approx": "1b86b044e455a4ab9e8faa470bdda164a843e9271a0276fbf9e7bca17d6dc5a0",
+}
+
+
+def test_records_golden(tmp_path, capsys):
+    """Every record the CLI writes is pinned byte for byte, so a refactor of
+    how records are built or rendered cannot move a value or a key."""
+    run_args = [*BASE, "--seed", "7", "--samples", "6400", "--trials", "20",
+                "--conv-grid", "32", "--out", str(tmp_path)]
+    commands = {sid: ["verify", sid] for sid in STATEMENT_IDS}
+    commands["norm"] = ["norm"]
+    commands["approx"] = ["approx", "--field", "polynomial_tail(gamma=3)"]
+    digests = {}
+    for name, command in commands.items():
+        assert main([*command, *run_args]) == 0, name
+        stem = f"verify_{name}" if command[0] == "verify" else name
+        record = json.loads((tmp_path / f"{stem}.json").read_text())
+        record.pop("timestamp")
+        record["config"].pop("out")
+        digests[name] = hashlib.sha256(canonical_json(record).encode()).hexdigest()
+    assert digests == GOLDEN_RECORDS
+
+
+# a small oracle grid on which the statement's refinement check passes
+@pytest.mark.parametrize("sid,grid", [("prop-4.4", 64), ("prop-4.5", 256), ("lemma-2.1", 256),
+                                      ("sobolev-ineq", 256)])
+def test_oracle_records_state_no_monte_carlo_budget(sid, grid, tmp_path):
+    """The oracle draws no samples, so its records give no sample budget and
+    no seed; the same statement by Monte Carlo records both."""
+    run_args = [*BASE, "--seed", "7", "--samples", "6400", "--conv-grid", "32",
+                "--grid-points", str(grid), "--out", str(tmp_path)]
+    reports = {}
+    for method in ("tensor_oracle_1d", "monte_carlo"):
+        assert main(["verify", sid, *run_args, "--method", method]) == 0
+        record = json.loads((tmp_path / f"verify_{sid}.json").read_text())
+        reports[method] = record["outputs"]["report"]
+    oracle, mc = reports["tensor_oracle_1d"], reports["monte_carlo"]
+    assert oracle["seed"] is None and mc["seed"] == 7
+    if sid in ("prop-4.4", "prop-4.5"):
+        assert oracle["trials"] is None and mc["trials"] == 6400
+    elif sid == "sobolev-ineq":
+        assert oracle["trials"] == mc["trials"] == 6  # fields and their dilations

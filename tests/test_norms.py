@@ -1,4 +1,5 @@
 import os
+from dataclasses import asdict
 import subprocess
 import sys
 
@@ -104,7 +105,7 @@ def test_norm_report_shape(params1d, fast_spec):
     u = smooth_bump_field(1.0)
     rep = norm_full(u, params1d, fast_spec)
     assert rep.full == rep.seminorm.value + rep.lpstar.value
-    d = rep.as_dict()
+    d = asdict(rep)
     assert set(d) == {"seminorm", "lpstar", "full", "params", "field_id"}
 
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from sobolev_wlab.quadrature import (
     resolve_outer_radius,
     tensor_oracle_1d_available,
 )
+from sobolev_wlab.reporting import canonical_json
 
 
 def indicator_ball(x):
@@ -192,5 +196,5 @@ def test_mixture_densities_normalized():
 
 def test_estimate_roundtrip_dict():
     est = Estimate(value=1.0, stderr=0.1, samples_used=100, spec_digest="ab", flags=("x",))
-    d = est.as_dict()
+    d = json.loads(canonical_json(asdict(est)))
     assert d["value"] == 1.0 and d["flags"] == ["x"]

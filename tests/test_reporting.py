@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -44,10 +45,10 @@ def test_canonical_json_float_precision():
 
 def test_json_roundtrip():
     rec = _sample_record()
-    text = canonical_json(rec.as_dict())
+    text = canonical_json(asdict(rec))
     back = ResultRecord(**json.loads(text))
     assert back == rec
-    assert back.as_dict() == rec.as_dict()
+    assert asdict(back) == asdict(rec)
 
 
 @settings(max_examples=50, deadline=None)
@@ -108,6 +109,6 @@ def test_write_outputs_io_error():
 def test_byte_identical_except_timestamp():
     rec1 = _sample_record()
     rec2 = _sample_record()
-    d1, d2 = rec1.as_dict(), rec2.as_dict()
+    d1, d2 = asdict(rec1), asdict(rec2)
     d1.pop("timestamp"), d2.pop("timestamp")
     assert canonical_json(d1) == canonical_json(d2)

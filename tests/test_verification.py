@@ -45,16 +45,16 @@ def pair_constant(c: float) -> PairField:
 def test_averaged_bound_a_zero_is_ball_volume():
     params = validate_params(2, 0.5, 2.0, 0.0)
     rep = check_averaged_weight_bound(WeightKind.PAIR, params, trials=40, seed=3, inner_samples=32)
-    assert rep.measured_constant == pytest.approx(np.pi)
-    assert rep.verdict == "BoundedStable"
+    assert rep["measured_constant"] == pytest.approx(np.pi)
+    assert rep["verdict"] == "BoundedStable"
 
 
 def test_averaged_bound_reproducible():
     params = validate_params(2, 0.5, 2.0, 0.3)
     a = check_averaged_weight_bound(WeightKind.PAIR, params, trials=60, seed=5, inner_samples=32)
     b = check_averaged_weight_bound(WeightKind.PAIR, params, trials=60, seed=5, inner_samples=32)
-    assert a.measured_constant == b.measured_constant
-    assert a.witness == b.witness
+    assert a["measured_constant"] == b["measured_constant"]
+    assert a["witness"] == b["witness"]
 
 
 def test_averaged_bound_scale_covariance():
@@ -77,17 +77,17 @@ def test_averaged_bound_scale_covariance():
 
 
 def test_maximal_bound_zero_field(params1d, fast_spec):
-    rep = check_maximal_bound(pair_constant(0.0), WeightKind.PAIR, params1d, 2.0, [1.0], fast_spec)
-    assert rep.measured_constant == 0.0
+    rep = check_maximal_bound(pair_constant(0.0), params1d, 2.0, [1.0], fast_spec)
+    assert rep["measured_constant"] == 0.0
 
 
 def test_maximal_bound_finite(params1d, fast_spec):
     V = lift_difference_quotient(hat_1d_field(), params1d)
-    rep = check_maximal_bound(V, WeightKind.PAIR, params1d, params1d.p, [0.1, 1.0, 10.0], fast_spec)
-    assert rep.verdict == "BoundedStable"
-    assert np.isfinite(rep.measured_constant)
+    rep = check_maximal_bound(V, params1d, params1d.p, [0.1, 1.0, 10.0], fast_spec)
+    assert rep["verdict"] == "BoundedStable"
+    assert np.isfinite(rep["measured_constant"])
     with pytest.raises(ParameterOutOfRange):
-        check_maximal_bound(V, WeightKind.PAIR, params1d, 1.0, [1.0], fast_spec)
+        check_maximal_bound(V, params1d, 1.0, [1.0], fast_spec)
 
 
 def test_star_bound_degenerate_denominator(params1d, fast_spec):
@@ -99,8 +99,8 @@ def test_star_bound_point_case(params1d, fast_spec):
     rep = check_star_convolution_bound(
         gaussian_field(), params1d, default_mollifier(1), fast_spec, eps_ladder=(0.5, 0.1), conv_grid=96
     )
-    assert rep.verdict == "BoundedStable"
-    assert all(v <= 1.25 for v in rep.details["ratios"].values())
+    assert rep["verdict"] == "BoundedStable"
+    assert all(v <= 1.25 for v in rep["details"]["ratios"].values())
 
 
 def test_commutation_identity_all_catalog(params1d):
@@ -113,47 +113,47 @@ def test_commutation_identity_all_catalog(params1d):
 def test_truncation_ladder_and_negative_control(params1d, fast_spec):
     u = polynomial_tail_field(3.0)
     fwd = run_truncation_convergence(u, params1d, [1, 2, 4, 8], fast_spec, default_cutoff())
-    assert fwd.verdict == "Decreasing"
-    assert fwd.errors[-1].value <= 0.1 * fwd.errors[0].value
+    assert fwd["verdict"] == "Decreasing"
+    assert fwd["errors"][-1].value <= 0.1 * fwd["errors"][0].value
     rev = run_truncation_convergence(u, params1d, [8, 4, 2, 1], fast_spec, default_cutoff())
-    assert rev.verdict == "NonMonotone"
+    assert rev["verdict"] == "NonMonotone"
 
 
 def test_truncation_exact_zero_for_compact_support(params1d, fast_spec):
     u = smooth_bump_field(1.0)
     rep = run_truncation_convergence(u, params1d, [1, 2], fast_spec, default_cutoff())
-    assert rep.errors[0].value == 0.0  # tau_1 == 1 on supp u
-    assert rep.verdict == "Decreasing"
+    assert rep["errors"][0].value == 0.0  # tau_1 == 1 on supp u
+    assert rep["verdict"] == "Decreasing"
 
 
 def test_mollification_ladder(params1d, fast_spec):
     rep = run_mollification_convergence(
         hat_1d_field(), params1d, [1, 0.5, 0.25, 0.1, 0.05], fast_spec, default_mollifier(1), 96
     )
-    assert rep.verdict == "Decreasing"
+    assert rep["verdict"] == "Decreasing"
 
 
 def test_mollification_zero_field(params1d, fast_spec):
     rep = run_mollification_convergence(
         zero_field(), params1d, [0.5, 0.25], fast_spec, default_mollifier(1), 64
     )
-    assert all(e.value == 0.0 for e in rep.errors)
-    assert rep.verdict == "Decreasing"
+    assert all(e.value == 0.0 for e in rep["errors"])
+    assert rep["verdict"] == "Decreasing"
 
 
 def test_clipping_ladder(params1d, fast_spec):
     spike = singular_spike_field(0.2, 1.0, params1d)
     v = lift_difference_quotient(spike, params1d)
     rep = run_clipping_convergence(v, params1d, [1, 4, 16, 64], fast_spec)
-    assert rep.verdict == "Decreasing"
+    assert rep["verdict"] == "Decreasing"
     single = run_clipping_convergence(v, params1d, [4], fast_spec)
-    assert single.verdict == "Decreasing"  # vacuously
+    assert single["verdict"] == "Decreasing"  # vacuously
 
 
 def test_clipping_bounded_field_zero_error(params1d, fast_spec):
     v = pair_constant(0.5)
     rep = run_clipping_convergence(v, params1d, [1.0], fast_spec)
-    assert rep.errors[0].value == 0.0
+    assert rep["errors"][0].value == 0.0
 
 
 def test_density_experiment_success(params1d, fast_spec):
@@ -186,8 +186,8 @@ def test_finiteness_grid(params1d, fast_spec):
 
 def test_sobolev_inequality(params1d, fast_spec):
     rep = check_sobolev_inequality([smooth_bump_field(1.0)], params1d, fast_spec)
-    assert rep.verdict == "BoundedStable"
-    assert np.isfinite(rep.measured_constant) and rep.measured_constant > 0
+    assert rep["verdict"] == "BoundedStable"
+    assert np.isfinite(rep["measured_constant"]) and rep["measured_constant"] > 0
     with pytest.raises(DegenerateDenominator):
         check_sobolev_inequality([zero_field()], params1d, fast_spec)
 
@@ -203,6 +203,6 @@ def test_prop_4_5_energies_use_the_oracle(params1d, oracle_spec):
         )
         for samples, seed in ((6400, 1), (64000, 2))
     ]
-    assert reps[0].details == reps[1].details
-    den = reps[0].details["denominator_energy"]
+    assert reps[0]["details"] == reps[1]["details"]
+    den = reps[0]["details"]["denominator_energy"]
     assert den == pytest.approx(norm_lpstar_a(u, params1d, oracle_spec).value ** params1d.p_star, rel=1e-12)
