@@ -75,34 +75,67 @@ STATEMENT_IDS = (
 
 PASS_VERDICTS = {"BoundedStable", "Decreasing", "Success", "Pass", "AllStable"}
 
-_DEFAULTS = {
-    "field": "smooth_bump(R=1)",
-    "n": 1,
-    "s": 0.3,
-    "p": 2.0,
-    "a": 0.1,
-    "method": METHOD_MONTE_CARLO,
-    "samples": 64000,
-    "grid_points": 4096,
-    "seed": 0,
-    "outer_radius": None,
-    "j": 1.0,
-    "eps": 0.1,
-    "conv_grid": 128,
-    "trials": 2000,
-    "delta_frac": 0.2,
-    "ladder": None,
-    "reversed_ladder": False,
-    "param": None,
-    "values": None,
-    "out": "results",
-    "format": "json",
-}
 
-_LIST_KEYS = {"ladder", "values", "format"}
-_INT_KEYS = {"n", "samples", "grid_points", "seed", "conv_grid", "trials"}
-_FLOAT_KEYS = {"s", "p", "a", "j", "eps", "delta_frac", "outer_radius"}
-_BOOL_KEYS = {"reversed_ladder"}
+def _choice(*names):
+    """A parser accepting only ``names``, which argparse also lists."""
+
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return text
+
+    parse.choices = names
+    return parse
+
+
+def _list(item):
+    """A parser for a comma-separated list whose parts ``item`` accepts; the
+    parts are kept as written, since records hold them."""
+
+    def parse(text: str) -> list:
+        parts = [part.strip() for part in text.split(",") if part.strip()]
+        if not parts:
+            raise ValueError("expected a comma-separated list")
+        for part in parts:
+            item(part)
+        return parts
+
+    return parse
+
+
+def _bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected true or false")
+    return word in ("1", "true", "yes")
+
+
+# every option: its default and the parser of its flag, config-file and
+# environment text; --param and --values belong to sweep only
+_OPTIONS = {
+    "field": ("smooth_bump(R=1)", str),
+    "n": (1, int),
+    "s": (0.3, float),
+    "p": (2.0, float),
+    "a": (0.1, float),
+    "method": (METHOD_MONTE_CARLO, _choice(METHOD_MONTE_CARLO, METHOD_TENSOR_ORACLE)),
+    "samples": (64000, int),
+    "grid_points": (4096, int),
+    "seed": (0, int),
+    "outer_radius": (None, float),
+    "j": (1.0, float),
+    "eps": (0.1, float),
+    "conv_grid": (128, int),
+    "trials": (2000, int),
+    "delta_frac": (0.2, float),
+    "ladder": (None, _list(float)),
+    "reversed_ladder": (False, _bool),
+    "param": (None, _choice("n", "s", "p", "a", "seed", "samples")),
+    "values": (None, _list(str)),
+    "out": ("results", str),
+    "format": ("json", _list(_choice("json", "csv", "svg"))),
+}
+_SWEEP_ONLY = ("param", "values")
 
 
 @dataclass(frozen=True)
@@ -112,18 +145,11 @@ class RunConfig:
     options: dict
 
 
-def _coerce(key: str, raw):
-    if raw is None or not isinstance(raw, str):
-        return raw
-    if key in _LIST_KEYS:
-        return [part.strip() for part in raw.split(",") if part.strip()]
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("1", "true", "yes")
-    return raw
+def _parse(key: str, text: str, source: str = ""):
+    try:
+        return _OPTIONS[key][1](text)
+    except ValueError as exc:
+        raise UsageError(f"{source}invalid {key} value {text!r}: {exc}") from exc
 
 
 def read_config_file(path: str) -> dict:
@@ -140,34 +166,24 @@ def read_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise UsageError(f"{path}:{i}: expected 'key = value', got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{i}: unknown config key {key!r}")
-        out[key] = _coerce(key, value)
+        out[key] = _parse(key, value, f"{path}:{i}: ")
     return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
+    sweep_only = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=None)
-    shared.add_argument("--field", default=None)
-    shared.add_argument("--n", type=int, default=None)
-    shared.add_argument("--s", type=float, default=None)
-    shared.add_argument("--p", type=float, default=None)
-    shared.add_argument("--a", type=float, default=None)
-    shared.add_argument("--method", choices=(METHOD_MONTE_CARLO, METHOD_TENSOR_ORACLE), default=None)
-    shared.add_argument("--samples", type=int, default=None)
-    shared.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--outer-radius", dest="outer_radius", type=float, default=None)
-    shared.add_argument("--j", type=float, default=None)
-    shared.add_argument("--eps", type=float, default=None)
-    shared.add_argument("--conv-grid", dest="conv_grid", type=int, default=None)
-    shared.add_argument("--trials", type=int, default=None)
-    shared.add_argument("--delta-frac", dest="delta_frac", type=float, default=None)
-    shared.add_argument("--ladder", default=None)
-    shared.add_argument("--reversed-ladder", dest="reversed_ladder", action="store_const", const=True, default=None)
-    shared.add_argument("--out", default=None)
-    shared.add_argument("--format", default=None)
+    for key, (_, parse) in _OPTIONS.items():
+        group = sweep_only if key in _SWEEP_ONLY else shared
+        flag = "--" + key.replace("_", "-")
+        if parse is _bool:
+            # a bare flag; its text goes through the parser like any other
+            group.add_argument(flag, action="store_const", const="true", default=None)
+        else:
+            group.add_argument(flag, choices=getattr(parse, "choices", None), default=None)
 
     parser = argparse.ArgumentParser(prog="sobolev-wlab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -175,9 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("approx", parents=[shared])
     pv = sub.add_parser("verify", parents=[shared])
     pv.add_argument("statement_id", choices=STATEMENT_IDS)
-    ps = sub.add_parser("sweep", parents=[shared])
-    ps.add_argument("--param", default=None)
-    ps.add_argument("--values", default=None)
+    sub.add_parser("sweep", parents=[shared, sweep_only])
     pc = sub.add_parser("catalog", parents=[shared])
     pc.add_argument("action", choices=("list",))
     return parser
@@ -192,25 +206,22 @@ def parse_config(argv) -> RunConfig:
     if ns.command is None:
         raise UsageError("missing command (norm | approx | verify | sweep | catalog)")
 
-    options = dict(_DEFAULTS)
+    options = {key: default for key, (default, _) in _OPTIONS.items()}
     if getattr(ns, "config", None):
         options.update(read_config_file(ns.config))
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
-            options[key] = _coerce(key, flag_val)
+            options[key] = _parse(key, flag_val)
     env_seed = os.environ.get("SOBOLEV_WLAB_SEED")
     if env_seed is not None:
-        try:
-            options["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise UsageError(f"SOBOLEV_WLAB_SEED must be an integer, got {env_seed!r}") from exc
+        options["seed"] = _parse("seed", env_seed, "SOBOLEV_WLAB_SEED: ")
 
     if ns.command == "sweep":
-        if not options.get("param") or not options.get("values"):
+        if not options["param"] or not options["values"]:
             raise UsageError("sweep needs --param and --values")
-        if options["param"] not in ("n", "s", "p", "a", "seed", "samples"):
-            raise UsageError(f"cannot sweep over {options['param']!r}")
+        for raw in options["values"]:  # fail before the first run
+            _parse(options["param"], raw, "values: ")
     statement_id = getattr(ns, "statement_id", "") or getattr(ns, "action", "")
     if ns.command in ("norm", "approx", "verify"):
         # fail fast on bad ranges before any computation
@@ -292,7 +303,7 @@ def _run_verify(config: RunConfig) -> tuple:
     params = _space(opts)
     spec = _spec(opts)
     cutoff = default_cutoff()
-    if sid in ("prop-4.1", "prop-4.2", "lemma-4.3") and spec.method == METHOD_TENSOR_ORACLE:
+    if sid in ("prop-4.1", "prop-4.2") and spec.method == METHOD_TENSOR_ORACLE:
         raise OracleUnavailable(f"{sid} is Monte Carlo only; it has no tensor-oracle path")
 
     extra = {}
@@ -362,7 +373,7 @@ def run_command(config: RunConfig) -> tuple:
         code = 0
         for i, raw in enumerate(opts["values"]):
             point = dict(opts)
-            point[key] = int(raw) if key in _INT_KEYS else float(raw)
+            point[key] = _parse(key, raw)
             sub = RunConfig(command="norm", statement_id="", options=point)
             outputs, verdicts = _run_norm(sub)
             rec = make_record("norm", _resolved_config(sub), outputs, verdicts)

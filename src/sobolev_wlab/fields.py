@@ -137,12 +137,14 @@ def polynomial_tail_field(gamma: float) -> ScalarField:
     )
 
 
-def singular_spike_field(gamma: float, R: float, space: SpaceParams) -> ScalarField:
+def singular_spike_field(gamma: float, R: float, space: Optional[SpaceParams]) -> ScalarField:
     """|x|^(-gamma) * bump(x/R): unbounded at the origin, compactly supported.
 
     gamma is capped at (n + b) / p_star so the weighted critical norm of the
     field stays finite and the field is a genuine member of the space.
     """
+    if space is None:
+        raise ParameterOutOfRange("singular_spike needs space parameters for its exponent cap")
     if gamma <= 0:
         raise ParameterOutOfRange(f"singular_spike needs gamma > 0, got {gamma}")
     if R <= 0:
@@ -168,16 +170,17 @@ def singular_spike_field(gamma: float, R: float, space: SpaceParams) -> ScalarFi
     )
 
 
-# parameters of each catalog id, with their defaults (None: required)
-_CATALOG_PARAMS = {
-    "zero": {},
-    "gaussian": {},
-    "smooth_bump": {"R": 1.0},
-    "hat_1d": {},
-    "polynomial_tail": {"gamma": None},
-    "singular_spike": {"gamma": None, "R": 1.0},
+# each catalog id: its constructor, called with the space parameters and the
+# field parameters, and those parameters with their defaults (None: required)
+_CATALOG = {
+    "zero": (lambda space: zero_field(), {}),
+    "gaussian": (lambda space: gaussian_field(), {}),
+    "smooth_bump": (lambda space, R: smooth_bump_field(R), {"R": 1.0}),
+    "hat_1d": (lambda space: hat_1d_field(), {}),
+    "polynomial_tail": (lambda space, gamma: polynomial_tail_field(gamma), {"gamma": None}),
+    "singular_spike": (singular_spike_field, {"gamma": None, "R": 1.0}),
 }
-_CATALOG_IDS = tuple(_CATALOG_PARAMS)
+_CATALOG_IDS = tuple(_CATALOG)
 
 _FIELD_SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
@@ -203,27 +206,15 @@ def parse_field_spec(text: str) -> tuple[str, dict]:
 
 def make_field(name: str, space: Optional[SpaceParams] = None, **kwargs) -> ScalarField:
     """Construct a catalog field by id.  ``space`` is required for singular_spike."""
-    if name not in _CATALOG_PARAMS:
+    if name not in _CATALOG:
         raise UnknownCatalogId(f"unknown catalog id {name!r} (known: {', '.join(_CATALOG_IDS)})")
-    known = _CATALOG_PARAMS[name]
+    build, known = _CATALOG[name]
     args = {**known, **kwargs}
     if set(args) != set(known) or None in args.values():
         takes = ", ".join(k if v is None else f"{k}={v}" for k, v in known.items())
         given = ", ".join(f"{k}={v}" for k, v in kwargs.items())
         raise UnknownCatalogId(f"field {name} takes the parameters ({takes}), got ({given})")
-    if name == "zero":
-        return zero_field()
-    if name == "gaussian":
-        return gaussian_field()
-    if name == "smooth_bump":
-        return smooth_bump_field(R=args["R"])
-    if name == "hat_1d":
-        return hat_1d_field()
-    if name == "polynomial_tail":
-        return polynomial_tail_field(gamma=args["gamma"])
-    if space is None:
-        raise ParameterOutOfRange("singular_spike needs space parameters for its exponent cap")
-    return singular_spike_field(args["gamma"], args["R"], space)
+    return build(space=space, **args)
 
 
 def field_from_spec(text: str, space: Optional[SpaceParams] = None) -> ScalarField:

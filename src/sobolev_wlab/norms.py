@@ -77,10 +77,9 @@ def _pair_power_integral(v: PairField, params: SpaceParams, alpha: float, beta: 
         return oracle_pair_integral_1d(
             g, alpha, beta, x_max=x_max, z_max=2.0 * x_max, spec=spec, label=label
         )
-    kappa = spec.near_exponent if spec.near_exponent is not None else params.p * (1.0 - params.s)
     return estimate_pair_integral_singular(
         g, n=params.n, alpha=alpha, beta=beta, sp=params.sp, spec=spec,
-        x_support_radius=v.x_support_radius, kappa=kappa, label=label,
+        x_support_radius=v.x_support_radius, kappa=params.p * (1.0 - params.s), label=label,
     )
 
 

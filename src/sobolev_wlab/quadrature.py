@@ -56,8 +56,6 @@ class QuadratureSpec:
     grid_points: int = 4096
     seed: int = 0
     outer_radius: Optional[float] = None  # resolved from field metadata when None
-    tail_exponent: Optional[float] = None  # None: derived from the kernel exponents
-    near_exponent: Optional[float] = None  # None: kappa = p * (1 - s)
 
     def __post_init__(self):
         if self.method not in (METHOD_MONTE_CARLO, METHOD_TENSOR_ORACLE):
@@ -70,10 +68,6 @@ class QuadratureSpec:
             )
         if self.grid_points < 64:
             raise ParameterOutOfRange("oracle grid must have at least 64 points")
-        if self.tail_exponent is not None and self.tail_exponent <= 0:
-            raise NonNormalizableDensity(f"tail exponent {self.tail_exponent} not normalizable")
-        if self.near_exponent is not None and self.near_exponent <= 0:
-            raise NonNormalizableDensity(f"near exponent {self.near_exponent} not normalizable")
 
     def digest(self, integrand_label: str) -> str:
         raw = "|".join(
@@ -84,8 +78,10 @@ class QuadratureSpec:
                 self.grid_points,
                 self.seed,
                 self.outer_radius,
-                self.tail_exponent,
-                self.near_exponent,
+                # where the tail and near exponents of earlier specs stood,
+                # so that every recorded digest stays valid
+                None,
+                None,
                 integrand_label,
             )
         )
@@ -261,7 +257,7 @@ def estimate_weighted_integral_Rn(
             f"weight exponent {weight_exponent} outside [0, {n})"
         )
     R = resolve_outer_radius(spec, np.inf)
-    mix = _RadialMixture(n=n, c=weight_exponent, R=R, t=spec.tail_exponent or 1.0)
+    mix = _RadialMixture(n=n, c=weight_exponent, R=R, t=1.0)
     digest = spec.digest(f"Rn:{label}:c={weight_exponent}:n={n}")
 
     def draw(rng, m):
@@ -294,8 +290,8 @@ def estimate_pair_integral_singular(
     decay at least like the fractional kernel, radially |z|^(-n-sp) in
     z = y - x).  Sampling: x from a weighted ball + Pareto mixture, z from
     a near-singularity power density of radial index ``kappa`` + Pareto
-    tail, evaluated in antithetic pairs (z, -z).  The default tail index of
-    both is s*p shifted down by any negative weight exponent so the
+    tail, evaluated in antithetic pairs (z, -z).  The tail index of both
+    is s*p shifted down by any negative weight exponent so the
     importance weights stay bounded.
     """
     R = resolve_outer_radius(spec, x_support_radius)
@@ -303,9 +299,9 @@ def estimate_pair_integral_singular(
     # orderings, so the proposal must cover the worse of the two weight
     # exponents: singular mass at the origin for max(alpha, beta) and a tail
     # heavy enough for the faster-growing weight, min(alpha, beta, 0)
-    t = spec.tail_exponent if spec.tail_exponent is not None else sp + min(alpha, beta, 0.0)
+    t = sp + min(alpha, beta, 0.0)
     if t <= 0:
-        raise NonNormalizableDensity(f"derived tail index {t} not normalizable; override tail_exponent")
+        raise NonNormalizableDensity(f"derived tail index {t} not normalizable")
     # ball density follows the stronger weight singularity (valid below n)
     mix_x = _RadialMixture(n=n, c=max(alpha, beta), R=R, t=t)
     mix_z = _NearFarMixture(n=n, kappa=kappa, t=t)

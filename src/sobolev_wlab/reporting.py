@@ -81,17 +81,13 @@ def _log_or(v: float, fallback: float) -> float:
     return math.log10(v) if v > 0 else fallback
 
 
-def ladder_svg(series: dict, title: str = "", width: int = 640, height: int = 480) -> str:
-    """Log-log line plot: one polyline per named (knobs, values) series."""
-    pts_all = [
-        (k, v)
-        for knobs, values in series.values()
-        for k, v in zip(knobs, values)
-        if k > 0 and v > 0
-    ]
-    if pts_all:
-        xs = [math.log10(k) for k, _ in pts_all]
-        ys = [math.log10(v) for _, v in pts_all]
+def ladder_svg(knobs, values, title: str = "") -> str:
+    """Log-log line plot of the error ladder, one polyline on a 640x480 canvas."""
+    width, height, pad = 640, 480, 50
+    pts = [(k, v) for k, v in zip(knobs, values) if k > 0 and v > 0]
+    if pts:
+        xs = [math.log10(k) for k, _ in pts]
+        ys = [math.log10(v) for _, v in pts]
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
     else:
@@ -101,7 +97,6 @@ def ladder_svg(series: dict, title: str = "", width: int = 640, height: int = 48
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 - y0 < 1e-12:
         y0, y1 = y0 - 0.5, y1 + 0.5
-    pad = 50
 
     def sx(lx):
         return pad + (lx - x0) / (x1 - x0) * (width - 2 * pad)
@@ -109,30 +104,21 @@ def ladder_svg(series: dict, title: str = "", width: int = 640, height: int = 48
     def sy(ly):
         return height - pad - (ly - y0) / (y1 - y0) * (height - 2 * pad)
 
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
-    parts = [
+    coords = " ".join(
+        "%.2f,%.2f" % (sx(_log_or(k, x0)), sy(_log_or(v, y0))) for k, v in zip(knobs, values)
+    )
+    color = "#1f77b4"
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-    ]
-    for i, (name, (knobs, values)) in enumerate(sorted(series.items())):
-        coords = " ".join(
-            "%.2f,%.2f" % (sx(_log_or(k, x0)), sy(_log_or(v, y0)))
-            for k, v in zip(knobs, values)
-        )
-        color = colors[i % len(colors)]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
-        )
-        parts.append(
-            f'<text x="{width - pad}" y="{pad + 16 * i}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{name}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>',
+        f'<text x="{width - pad}" y="{pad}" text-anchor="end" font-size="12" fill="{color}">error</text>',
+        "</svg>",
+    ]) + "\n"
 
 
 def _ladder_series(outputs: dict) -> Optional[tuple]:
@@ -170,7 +156,7 @@ def write_outputs(record: ResultRecord, formats, output_dir: str, stem: str) -> 
             knobs, values, _ = ladder
             path = os.path.join(output_dir, stem + ".svg")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(ladder_svg({"error": (knobs, values)}, title=stem))
+                fh.write(ladder_svg(knobs, values, title=stem))
             written.append(path)
     except OSError as exc:
         raise IoError(f"cannot write outputs under {output_dir}: {exc}") from exc

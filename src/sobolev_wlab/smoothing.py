@@ -27,7 +27,6 @@ from .fields import (
 )
 from .quadrature import _graded_half_grid
 
-DEFAULT_CONV_GRID = 256
 # most (point, node) pairs evaluated in one call of the convolved field
 CONV_BLOCK = 1 << 20
 
@@ -86,7 +85,7 @@ def convolve(
     epsilon: float,
     profile: MollifierProfile,
     x: np.ndarray,
-    conv_grid: int = DEFAULT_CONV_GRID,
+    conv_grid: int,
 ) -> np.ndarray:
     """(u * eta_eps)(x) for an array of points x of shape (m, n).
 
@@ -112,7 +111,7 @@ def convolve_field(
     u: ScalarField,
     epsilon: float,
     profile: MollifierProfile,
-    conv_grid: int = DEFAULT_CONV_GRID,
+    conv_grid: int,
 ) -> ScalarField:
     """u * eta_eps as a ScalarField (smooth, support enlarged by eps)."""
     return ScalarField(
@@ -131,7 +130,7 @@ def star_convolve(
     epsilon: float,
     x: np.ndarray,
     y: np.ndarray,
-    conv_grid: int = DEFAULT_CONV_GRID,
+    conv_grid: int,
 ) -> np.ndarray:
     """Diagonal-shift convolution: int v(x - z, y - z) eta_eps(z) dz."""
     if epsilon <= 0:
@@ -153,7 +152,7 @@ def star_convolve_field(
     v: PairField,
     profile: MollifierProfile,
     epsilon: float,
-    conv_grid: int = DEFAULT_CONV_GRID,
+    conv_grid: int,
 ) -> PairField:
     return PairField(
         label=f"star(eps={epsilon},{v.label})",
@@ -170,7 +169,7 @@ def pipeline_rho(
     epsilon: float,
     cutoff: CutoffProfile,
     mollifier: MollifierProfile,
-    conv_grid: int = DEFAULT_CONV_GRID,
+    conv_grid: int,
 ) -> ScalarField:
     """rho_eps = (tau_j u) * eta_eps: smooth with compact support.
 

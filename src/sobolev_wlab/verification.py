@@ -14,7 +14,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateDenominator, ParameterOutOfRange
+from .errors import DegenerateDenominator, OracleUnavailable, ParameterOutOfRange
 from .fields import (
     CutoffProfile,
     MollifierProfile,
@@ -242,7 +242,9 @@ def check_maximal_bound(
     spec: QuadratureSpec,
 ) -> dict:
     """Ratio of the averaged-function energy to the plain energy under the
-    pair weight, maximized over the radius ladder."""
+    pair weight, maximized over the radius ladder.  Monte Carlo only."""
+    if spec.method == METHOD_TENSOR_ORACLE:
+        raise OracleUnavailable("lemma-4.3 is Monte Carlo only; it has no tensor-oracle path")
     if q <= 1:
         raise ParameterOutOfRange(f"maximal bound needs q > 1, got {q}")
     n, a = params.n, params.a
@@ -305,8 +307,8 @@ def check_star_convolution_bound(
     params: SpaceParams,
     profile: MollifierProfile,
     spec: QuadratureSpec,
+    conv_grid: int,
     eps_ladder: Sequence[float] = (1.0, 0.5, 0.1),
-    conv_grid: int = 128,
 ) -> dict:
     """Ratio of the weighted energy of the mollified field to the energy of
     the field itself, with common random numbers, across an epsilon ladder."""
@@ -363,7 +365,7 @@ def check_commutation_identity(
     points: int,
     seed: int,
     mollifier: MollifierProfile,
-    conv_grid: int = 256,
+    conv_grid: int,
 ) -> dict:
     """Max residual between the diagonal-shift convolution of the lift and the
     lift of the convolution, at random off-diagonal pairs."""
@@ -418,7 +420,7 @@ def run_mollification_convergence(
     eps_ladder: Sequence[float],
     spec: QuadratureSpec,
     mollifier: MollifierProfile,
-    conv_grid: int = 128,
+    conv_grid: int,
 ) -> dict:
     spec = pin_outer_radius(spec, u.support_radius)
     return _ladder_report(
@@ -450,7 +452,7 @@ def run_density_experiment(
     spec: QuadratureSpec,
     cutoff: CutoffProfile,
     mollifier: MollifierProfile,
-    conv_grid: int = 128,
+    conv_grid: int,
     max_steps: int = 12,
 ) -> dict:
     """The end-to-end schedule: find j with truncation error below delta/2 by

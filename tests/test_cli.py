@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sobolev_wlab.cli import STATEMENT_IDS, main, parse_config, read_config_file
+from sobolev_wlab.cli import _OPTIONS, STATEMENT_IDS, main, parse_config, read_config_file
 from sobolev_wlab.errors import UsageError
 from sobolev_wlab.reporting import canonical_json
 
@@ -47,6 +47,49 @@ def test_bad_field_parameters_exit_2(field, capsys):
 def test_usage_error_exit_2(capsys):
     assert main([]) == 2
     assert main(["sweep", *BASE]) == 2
+
+
+@pytest.mark.parametrize("args,config,bad", [
+    (["norm"], "seed = abc\n", "abc"),
+    (["verify", "lemma-3.1", "--ladder", "1,x"], "", "x"),
+    (["sweep", "--param", "a", "--values", "0,zz"], "", "zz"),
+    (["sweep", "--param", "n", "--values", "1.5"], "", "1.5"),
+    (["norm", "--format", "xml"], "", "xml"),
+], ids=["config-seed", "ladder", "sweep-float", "sweep-int", "format"])
+def test_malformed_value_exit_2(args, config, bad, tmp_path, capsys):
+    """A value its option cannot parse is a usage error, found before any run."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main([*args, *BASE, "--samples", "6400", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and repr(bad) in err
+    assert not out.exists()
+
+
+# a value other than the default for every option
+OPTION_VALUES = {
+    "field": "gaussian", "n": "2", "s": "0.25", "p": "1.5", "a": "0.05",
+    "method": "tensor_oracle_1d", "samples": "6400", "grid_points": "256", "seed": "7",
+    "outer_radius": "4.5", "j": "2", "eps": "0.05", "conv_grid": "32", "trials": "20",
+    "delta_frac": "0.3", "ladder": "1,2,4", "reversed_ladder": "true", "param": "s",
+    "values": "0.1,0.2", "out": "elsewhere", "format": "json,csv",
+}
+
+
+@pytest.mark.parametrize("key", list(_OPTIONS))
+def test_flag_and_config_line_parse_alike(key, tmp_path, monkeypatch):
+    monkeypatch.delenv("SOBOLEV_WLAB_SEED", raising=False)
+    value = OPTION_VALUES[key]
+    # every option parses under sweep, which also needs the two it owns
+    sweep = [arg for k, v in (("param", "a"), ("values", "0")) if k != key for arg in (f"--{k}", v)]
+    flag = [f"--{key.replace('_', '-')}"] + ([] if key == "reversed_ladder" else [value])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    by_flag = parse_config(["sweep", *sweep, *flag]).options
+    by_config = parse_config(["sweep", *sweep, "--config", str(cfg)]).options
+    assert by_flag == by_config
+    assert by_flag[key] != _OPTIONS[key][0]
 
 
 def test_verify_negative_control_exit_1(tmp_path):

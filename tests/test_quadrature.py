@@ -38,8 +38,6 @@ def test_spec_validation():
         QuadratureSpec(samples=1000)
     with pytest.raises(ParameterOutOfRange):
         QuadratureSpec(grid_points=8)
-    with pytest.raises(NonNormalizableDensity):
-        QuadratureSpec(tail_exponent=-1.0)
     with pytest.raises(ParameterOutOfRange):
         QuadratureSpec(method="simpson")
 

@@ -79,9 +79,10 @@ def test_csv_format():
     assert lines[1:] == ["1,0.5,0.01", "2,0.20000000000000001,0.02"]
 
 
-def test_svg_one_polyline_per_series():
-    svg = ladder_svg({"a": ([1, 2, 4], [1.0, 0.5, 0.1]), "b": ([1, 2, 4], [2.0, 1.0, 0.2])})
-    assert svg.count("<polyline") == 2
+def test_svg_one_polyline():
+    svg = ladder_svg([1, 2, 4], [1.0, 0.5, 0.1], title="ladder")
+    assert svg.count("<polyline") == 1
+    assert 'width="640" height="480"' in svg and ">ladder</text>" in svg and ">error</text>" in svg
     assert "<svg" in svg and "</svg>" in svg
     assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")  # self-contained
 

@@ -5,6 +5,7 @@ import pytest
 
 from sobolev_wlab import (
     DegenerateDenominator,
+    OracleUnavailable,
     ParameterOutOfRange,
     QuadratureSpec,
     WeightKind,
@@ -29,6 +30,7 @@ from sobolev_wlab import (
     validate_params,
     zero_field,
 )
+from sobolev_wlab import verification
 from sobolev_wlab.fields import PairField, default_cutoff, default_mollifier
 from sobolev_wlab.verification import reciprocal_weight_integrand
 
@@ -90,9 +92,18 @@ def test_maximal_bound_finite(params1d, fast_spec):
         check_maximal_bound(V, params1d, 1.0, [1.0], fast_spec)
 
 
+def test_maximal_bound_refuses_the_oracle(params1d, oracle_spec, monkeypatch):
+    """An oracle spec is refused before any sample is drawn, not answered by
+    Monte Carlo."""
+    monkeypatch.setattr(verification, "_fold_chunks", lambda *args: pytest.fail("drew samples"))
+    V = lift_difference_quotient(hat_1d_field(), params1d)
+    with pytest.raises(OracleUnavailable, match="tensor-oracle"):
+        check_maximal_bound(V, params1d, params1d.p, [1.0], replace(oracle_spec, samples=6400))
+
+
 def test_star_bound_degenerate_denominator(params1d, fast_spec):
     with pytest.raises(DegenerateDenominator):
-        check_star_convolution_bound(zero_field(), params1d, default_mollifier(1), fast_spec)
+        check_star_convolution_bound(zero_field(), params1d, default_mollifier(1), fast_spec, 128)
 
 
 def test_star_bound_point_case(params1d, fast_spec):
