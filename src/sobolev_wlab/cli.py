@@ -202,6 +202,8 @@ def parse_config(argv) -> RunConfig:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
+        if exc.code == 0:  # --help: argparse printed the usage, nothing is left to run
+            raise
         raise UsageError("invalid command line") from exc
     if ns.command is None:
         raise UsageError("missing command (norm | approx | verify | sweep | catalog)")
@@ -405,6 +407,8 @@ def main(argv=None) -> int:
         config = parse_config(argv)
         _, code = run_command(config)
         return code
+    except SystemExit:  # only --help leaves parse_config this way
+        return 0
     except (UsageError, RangeViolation, ParameterOutOfRange, UnknownCatalogId, NonNormalizableDensity) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

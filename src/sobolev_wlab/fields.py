@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ParameterOutOfRange, UnknownCatalogId
-from .params import SpaceParams
+from .params import SpaceParams, row_norm
 
 # smoothness classes from best to worst; an operation's result is as rough
 # as its roughest operand
@@ -59,10 +59,6 @@ class PairField:
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
-def _radii(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=-1)
 
 
 def _bump_profile(t: np.ndarray) -> np.ndarray:
@@ -106,7 +102,7 @@ def smooth_bump_field(R: float = 1.0) -> ScalarField:
         raise ParameterOutOfRange(f"smooth_bump radius must be positive, got {R}")
     return ScalarField(
         label=f"smooth_bump(R={R})",
-        evaluator=lambda x: _bump_profile(_radii(x) / R),
+        evaluator=lambda x: _bump_profile(row_norm(x) / R),
         support_radius=float(R),
         smoothness="smooth",
     )
@@ -156,7 +152,7 @@ def singular_spike_field(gamma: float, R: float, space: Optional[SpaceParams]) -
         )
 
     def ev(x: np.ndarray) -> np.ndarray:
-        r = _radii(x)
+        r = row_norm(x)
         bump = _bump_profile(r / R)
         with np.errstate(divide="ignore", over="ignore"):
             spike = np.where(r > 0.0, r, 1.0) ** (-gamma)
@@ -264,7 +260,7 @@ def lift_difference_quotient(u: ScalarField, params: SpaceParams) -> PairField:
     exponent = params.n / params.p + params.s
 
     def ev(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(x - y, axis=-1)
+        d = row_norm(x - y)
         off = d > 0.0
         dd = np.where(off, d, 1.0)
         vals = (u(x) - u(y)) * dd ** (-exponent)
@@ -319,7 +315,7 @@ def cutoff_tau_j(profile: CutoffProfile, j: float) -> ScalarField:
         raise ParameterOutOfRange(f"cutoff scale j must be positive, got {j}")
     return ScalarField(
         label=f"tau_j(j={j})",
-        evaluator=lambda x, _p=profile, _j=float(j): _p.radial(_radii(x) / _j),
+        evaluator=lambda x, _p=profile, _j=float(j): _p.radial(row_norm(x) / _j),
         support_radius=2.0 * float(j),
         smoothness="smooth",
     )

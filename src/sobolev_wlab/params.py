@@ -104,13 +104,31 @@ def weight_value(kind: WeightKind, params: SpaceParams, point: np.ndarray) -> np
     if kind is WeightKind.PAIR:
         if pt.shape[-1] != 2 * n:
             raise ValueError(f"expected last axis of size {2 * n}, got {pt.shape}")
-        rx = np.linalg.norm(pt[..., :n], axis=-1)
-        ry = np.linalg.norm(pt[..., n:], axis=-1)
+        rx = row_norm(pt[..., :n])
+        ry = row_norm(pt[..., n:])
         return _pow_weight(rx, params.a) * _pow_weight(ry, params.a)
     if pt.shape[-1] != n:
         raise ValueError(f"expected last axis of size {n}, got {pt.shape}")
-    r = np.linalg.norm(pt, axis=-1)
+    r = row_norm(pt)
     return _pow_weight(r, params.b)
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: the square root of the squared
+    coordinates summed in order.
+
+    For 1 to 7 coordinates this is numpy's own summation order, so the
+    result equals ``np.linalg.norm(x, axis=-1)`` bit for bit for any memory
+    layout; from 8 coordinates on numpy sums in blocks and the two differ at
+    rounding level.  It avoids the temporary squared array and the generic
+    reduction, which dominate the cost for few coordinates.
+    """
+    x = np.asarray(x, dtype=float)
+    sq = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        col = x[..., i]
+        sq += col * col
+    return np.sqrt(sq)
 
 
 def _pow_weight(r: np.ndarray, exponent: float) -> np.ndarray:

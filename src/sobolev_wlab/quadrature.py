@@ -4,11 +4,18 @@ deterministic 1-d tensor-product oracle used as ground truth.
 Determinism contract: the sample budget, a multiple of 64, is split into
 64 equal chunks; chunk k draws from an independent Philox stream keyed by
 (seed, k).  Consecutive chunks are evaluated together in groups of at
-most GROUP_POINTS points (always at least one whole chunk), and the chunk
-means are folded in chunk order.  Two runs with the same spec therefore
-return bit-identical estimates, and memory stays bounded at any budget.
+most GROUP_POINTS points (BALL_GROUP_POINTS for ball averages; always at
+least one whole chunk), and the chunk means are folded in chunk order.
+Two runs with the same spec therefore return bit-identical estimates, and
+memory stays bounded at any budget.
 The reported standard error is the sample standard deviation of the
 chunk means divided by sqrt(64).
+
+Philox is counter-based: a stream is fixed by its key and its counter.
+So each estimate builds one generator and switches it from stream to
+stream by setting its state (key [seed, k], zero counter, empty buffers);
+it then draws exactly what a fresh ``Philox(key=[seed, k])`` would, without
+the seed sequence, entropy read and lock that building one costs.
 
 Importance sampling is by exact radial inverse-CDF draws (power-law
 radial densities are analytically invertible); no rejection sampling is
@@ -33,10 +40,19 @@ from .errors import (
     QuadratureFailure,
 )
 from .fields import ball_volume, sphere_area
+from .params import row_norm
 
 N_CHUNKS = 64
 # most points evaluated in one call of an integrand (a group of chunks)
 GROUP_POINTS = 1 << 16
+# ball averages take smaller groups: their largest temporary, (points, 2n)
+# doubles, then stays under the allocator's 128 KiB mmap threshold and is
+# reused from the heap instead of being mapped and faulted in afresh for
+# every group (about 2,200 page faults per 131,072-sample ball average at
+# GROUP_POINTS).  GROUP_POINTS itself stays: a convolved integrand's
+# matrix-vector product rounds by the point's place in its block, so a
+# different grouping changes convolution-based estimates in the last bits.
+BALL_GROUP_POINTS = 1 << 12
 
 METHOD_MONTE_CARLO = "monte_carlo"
 METHOD_TENSOR_ORACLE = "tensor_oracle_1d"
@@ -119,15 +135,39 @@ def pin_outer_radius(spec: QuadratureSpec, support_radius: float) -> QuadratureS
     return replace(spec, outer_radius=resolve_outer_radius(spec, support_radius))
 
 
+_UINT64_MASK = 0xFFFFFFFFFFFFFFFF
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, chunk]))
+    return np.random.Generator(np.random.Philox(key=[seed & _UINT64_MASK, chunk]))
+
+
+def _switch_stream(rng: np.random.Generator, seed: int, chunk: int) -> np.random.Generator:
+    """Move the Philox generator ``rng`` to the start of stream (seed, chunk),
+    whatever it drew before: it then draws what ``_chunk_rng(seed, chunk)``
+    would."""
+    # plain tuples: the state setter copies word by word, and indexing them
+    # is cheaper than indexing uint64 arrays
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _UINT64_MASK, chunk)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _to_sphere(g: np.ndarray) -> np.ndarray:
+    """Rows of standard normals scaled to unit length (a zero row stays 0)."""
+    norms = row_norm(g)
+    norms = np.where(norms > 0.0, norms, 1.0)
+    return g / norms[:, None]
 
 
 def _directions(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    g = rng.standard_normal((m, n))
-    norms = np.linalg.norm(g, axis=1)
-    norms = np.where(norms > 0.0, norms, 1.0)
-    return g / norms[:, None]
+    return _to_sphere(rng.standard_normal((m, n)))
 
 
 def _guard_unit(u: np.ndarray) -> np.ndarray:
@@ -206,22 +246,24 @@ def _fold_chunks(
     spec: QuadratureSpec,
     draw: Callable[[np.random.Generator, int], tuple],
     evaluate: Callable[..., np.ndarray],
+    group_points: int = GROUP_POINTS,
 ) -> np.ndarray:
     """Chunk means of ``evaluate`` over the 64 chunks, in chunk order.
 
     ``draw(rng, m)`` returns a tuple of arrays of m rows each from a chunk's
     Philox stream.  ``evaluate`` receives the draws of consecutive chunks
-    concatenated, as many as fit in GROUP_POINTS points (all axes but the
+    concatenated, as many as fit in ``group_points`` points (all axes but the
     last of the largest drawn array) and at least one, and returns values
     whose last axis runs over the rows.
     """
     m = spec.samples // N_CHUNKS
+    rng = _chunk_rng(spec.seed, 0)
     means, pending, per_group = [], [], 1
     for k in range(N_CHUNKS):
-        pending.append(draw(_chunk_rng(spec.seed, k), m))
+        pending.append(draw(_switch_stream(rng, spec.seed, k), m))
         if k == 0:
             points = max(a.size // a.shape[-1] for a in pending[0])
-            per_group = max(1, GROUP_POINTS // points)
+            per_group = max(1, group_points // points)
         if len(pending) == per_group or k == N_CHUNKS - 1:
             vals = evaluate(*(np.concatenate(parts) for parts in zip(*pending)))
             means.append(vals.reshape(*vals.shape[:-1], len(pending), m).mean(axis=-1))
@@ -265,7 +307,7 @@ def estimate_weighted_integral_Rn(
         return (_directions(rng, m, n) * r[:, None],)
 
     def evaluate(x):
-        r = np.linalg.norm(x, axis=1)
+        r = row_norm(x)
         return integrand(x) * r ** (-weight_exponent) / mix.density(r)
 
     return _combine_chunks(_fold_chunks(spec, draw, evaluate), spec.samples, digest)
@@ -314,8 +356,8 @@ def estimate_pair_integral_singular(
         return x, _directions(rng, m, n) * rz[:, None]
 
     def evaluate(x, z):
-        rx = np.linalg.norm(x, axis=1)
-        rz = np.linalg.norm(z, axis=1)
+        rx = row_norm(x)
+        rz = row_norm(z)
         qz = mix_z.density(rz)
         qx = mix_x.density(rx)
         # balance-heuristic combination of the x-anchored pair (x, x+z) and
@@ -325,7 +367,7 @@ def estimate_pair_integral_singular(
         vals = 0.0
         for sgn in (1.0, -1.0):  # antithetic pair in z
             y = x + sgn * z
-            ry = np.linalg.norm(y, axis=1)
+            ry = row_norm(y)
             ry_safe = np.where(ry > 0.0, ry, 1.0)
             qsum = qz * (qx + mix_x.density(ry))
             g1 = pair_integrand(x, y)
@@ -351,11 +393,16 @@ def ball_average(
         raise ParameterOutOfRange(f"ball radius must be positive, got {r}")
     digest = spec.digest(f"ball:{label}:r={r}:n={n}")
 
+    # a chunk's draw is only its raw uniforms and normals; they are mapped to
+    # ball points once per group of chunks
     def draw(rng, m):
-        radii = r * _guard_unit(rng.random(m)) ** (1.0 / n)
-        return (_directions(rng, m, n) * radii[:, None],)
+        return rng.random(m), rng.standard_normal((m, n))
 
-    chunk_means = _fold_chunks(spec, draw, lambda z: integrand(z) * ball_volume(n))
+    def evaluate(u, g):
+        radii = r * _guard_unit(u) ** (1.0 / n)
+        return integrand(_to_sphere(g) * radii[:, None]) * ball_volume(n)
+
+    chunk_means = _fold_chunks(spec, draw, evaluate, BALL_GROUP_POINTS)
     return _combine_chunks(chunk_means, spec.samples, digest)
 
 

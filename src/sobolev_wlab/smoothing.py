@@ -25,6 +25,7 @@ from .fields import (
     cutoff_tau_j,
     multiply_cutoff,
 )
+from .params import row_norm
 from .quadrature import _graded_half_grid
 
 # most (point, node) pairs evaluated in one call of the convolved field
@@ -96,7 +97,7 @@ def convolve(
     n = x.shape[-1]
     z, w = conv_nodes(profile, epsilon, n, conv_grid)
     out = np.zeros(x.shape[0])
-    active = np.linalg.norm(x, axis=1) <= u.support_radius + epsilon
+    active = row_norm(x) <= u.support_radius + epsilon
     xa = x[active]
     vals = np.empty(len(xa))
     block = max(1, CONV_BLOCK // len(w))

@@ -44,6 +44,14 @@ def test_bad_field_parameters_exit_2(field, capsys):
     assert "parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [[], ["norm"], ["approx"], ["verify"], ["sweep"], ["catalog"]])
+def test_help_exits_0(command, capsys):
+    assert main([*command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "usage: sobolev-wlab" in captured.out
+    assert "error" not in captured.err
+
+
 def test_usage_error_exit_2(capsys):
     assert main([]) == 2
     assert main(["sweep", *BASE]) == 2

@@ -10,6 +10,7 @@ from sobolev_wlab import (
     validate_params,
     weight_value,
 )
+from sobolev_wlab.params import row_norm
 
 
 def test_derived_exponents():
@@ -82,3 +83,25 @@ def test_weight_value_zero_block_convention():
     assert weight_value(WeightKind.POINT, sp, np.array([[0.0]]))[0] == np.inf
     sp0 = validate_params(1, 0.3, 2.0, 0.0)
     assert weight_value(WeightKind.POINT, sp0, np.array([[0.0]]))[0] == 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_norm_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    decades = rng.uniform(-3.0, 3.0, (300, 2 * n))
+    decades[:30] *= 50.0  # squares near the ends of the double range
+    wide = rng.standard_normal((300, 2 * n)) * 10.0**decades
+    wide[::7, : n - 1] = 0.0  # rows with zero coordinates
+    wide[3] = 0.0
+    layouts = {
+        "contiguous": np.ascontiguousarray(wide[:, :n]),
+        "sliced": wide[..., :n],
+        "sliced-high": wide[..., n:],
+        "fortran": np.asfortranarray(wide[:, :n]),
+        "3-d": np.ascontiguousarray(wide[:, :n]).reshape(30, 10, n),
+    }
+    for name, x in layouts.items():
+        expected = np.linalg.norm(x, axis=-1)
+        got = row_norm(x)
+        assert got.shape == expected.shape, name
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), name

@@ -15,12 +15,14 @@ from sobolev_wlab import (
     estimate_weighted_integral_Rn,
     oracle_pair_integral_1d,
     oracle_weighted_integral_1d,
+    quadrature,
 )
 from sobolev_wlab.quadrature import (
     METHOD_TENSOR_ORACLE,
     _NearFarMixture,
     _RadialMixture,
     _chunk_rng,
+    _switch_stream,
     resolve_outer_radius,
     tensor_oracle_1d_available,
 )
@@ -166,6 +168,20 @@ def test_ball_average_golden():
     assert (est.value.hex(), est.stderr.hex()) == ("0x1.3b9f99960a14ap+0", "0x1.89ba145c8810ep-7")
 
 
+@pytest.mark.parametrize("group_points", [1 << 11, 1 << 16])
+def test_ball_average_independent_of_grouping(monkeypatch, group_points):
+    """2,048 samples per chunk: one, two (the default) or all 32 chunks of a
+    half in one group give the same estimate to the bit."""
+
+    def run():
+        f = lambda z: 1.0 / (0.1 + np.sum(z * z, axis=1))  # noqa: E731
+        return ball_average(f, 2, 0.7, QuadratureSpec(samples=1 << 17, seed=11))
+
+    default = run()
+    monkeypatch.setattr(quadrature, "BALL_GROUP_POINTS", group_points)
+    assert run() == default
+
+
 def test_resolve_outer_radius():
     spec = QuadratureSpec()
     assert resolve_outer_radius(spec, 1.0) == 11.0
@@ -179,6 +195,26 @@ def test_chunk_rng_independent_streams():
     c = _chunk_rng(1, 0).random(4)
     assert not np.allclose(a, b)
     assert np.array_equal(a, c)
+
+
+def test_switch_stream_matches_fresh_philox():
+    """A generator moved to stream (seed, chunk) draws exactly what a fresh
+    Philox keyed [seed mod 2^64, chunk] draws, whatever it drew before."""
+    rng = np.random.Generator(np.random.Philox(key=[11, 12]))
+    for seed, chunk in ((0, 0), (7, 63), (2**64 + 5, 1_000_003), (3, 424242)):
+        # leave a half-used 32-bit word and a partly used buffer behind
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        rng.standard_normal()
+        _switch_stream(rng, seed, chunk)
+        fresh = np.random.Generator(np.random.Philox(key=[seed % 2**64, chunk]))
+        for draw in (
+            lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+            lambda g: g.random(7),
+            lambda g: g.standard_normal((3, 2)),
+            lambda g: g.integers(0, 2**32, size=1, dtype=np.uint32),
+            lambda g: g.random(65),
+        ):
+            assert np.array_equal(draw(rng), draw(fresh))
 
 
 def test_mixture_densities_normalized():

@@ -59,6 +59,35 @@ def test_averaged_bound_reproducible():
     assert a["witness"] == b["witness"]
 
 
+@pytest.mark.parametrize("kind,constant,first_half,trial", [
+    (WeightKind.PAIR, "0x1.92cf9f9cd87f6p+1", "0x1.928ba01ce0564p+1", 55),
+    (WeightKind.POINT, "0x1.989bfd420119dp+1", "0x1.968cb27b327c0p+1", 43),
+])
+def test_averaged_bound_refines_each_candidate_once(kind, constant, first_half, trial, monkeypatch):
+    """One ball average per trial and one per distinct refined candidate,
+    with the record that refining each top-16 list on its own gave."""
+    calls = []
+    original = verification.ball_average
+
+    def counting(f, n, r, spec, label=""):
+        calls.append(spec)
+        return original(f, n, r, spec, label=label)
+
+    monkeypatch.setattr(verification, "ball_average", counting)
+    trials, seed, inner = 60, 5, 32
+    params = validate_params(2, 0.5, 2.0, 0.1)
+    rep = check_averaged_weight_bound(kind, params, trials=trials, seed=seed, inner_samples=inner)
+    refined = [spec.seed for spec in calls if spec.samples > inner * 64]
+    assert len(refined) == len(set(refined))
+    assert len(calls) == trials + len(set(refined))
+    # the two top-16 lists overlap here, so refining each list apart would
+    # have made 32 refinement calls
+    assert len(refined) < 32
+    assert rep["measured_constant"] == float.fromhex(constant)
+    assert rep["details"]["max_first_half"] == float.fromhex(first_half)
+    assert rep["witness"]["trial"] == trial
+
+
 def test_averaged_bound_scale_covariance():
     """Theta(X) * ball-average is invariant under (x,y,r) -> (lx,ly,lr)."""
     params = validate_params(2, 0.5, 2.0, 0.3)
