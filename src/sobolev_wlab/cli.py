@@ -255,12 +255,13 @@ def _float_ladder(options: dict, default: list) -> list:
     return ladder
 
 
-def _resolved_config(config: RunConfig) -> dict:
-    out = {k: v for k, v in config.options.items()}
-    out["command"] = config.command
+def _write(config: RunConfig, outputs: dict, verdicts: list, stem: str) -> list:
+    """Write the record of one run of ``config``; returns the written paths."""
+    resolved = {**config.options, "command": config.command}
     if config.statement_id:
-        out["statement_id"] = config.statement_id
-    return out
+        resolved["statement_id"] = config.statement_id
+    record = make_record(config.command, resolved, outputs, verdicts)
+    return write_outputs(record, config.options["format"], config.options["out"], stem)
 
 
 def _run_norm(config: RunConfig) -> tuple:
@@ -362,27 +363,20 @@ def _run_verify(config: RunConfig) -> tuple:
     return {"report": rep, **extra}, [rep["verdict"]]
 
 
-def run_command(config: RunConfig) -> tuple:
-    """Dispatch a parsed config; returns (ResultRecord or None, exit code)."""
+def run_command(config: RunConfig) -> int:
+    """Dispatch a parsed config; returns the exit code."""
     if config.command == "catalog":
         print("\n".join(_CATALOG_IDS))
-        return None, 0
+        return 0
 
     if config.command == "sweep":
         opts = config.options
         key = opts["param"]
-        records = []
-        code = 0
         for i, raw in enumerate(opts["values"]):
-            point = dict(opts)
-            point[key] = _parse(key, raw)
-            sub = RunConfig(command="norm", statement_id="", options=point)
-            outputs, verdicts = _run_norm(sub)
-            rec = make_record("norm", _resolved_config(sub), outputs, verdicts)
-            write_outputs(rec, opts["format"], opts["out"], f"sweep_{key}_{i}")
-            records.append(rec)
-        print(f"sweep: wrote {len(records)} records to {opts['out']}")
-        return records, code
+            sub = RunConfig(command="norm", statement_id="", options={**opts, key: _parse(key, raw)})
+            _write(sub, *_run_norm(sub), f"sweep_{key}_{i}")
+        print(f"sweep: wrote {len(opts['values'])} records to {opts['out']}")
+        return 0
 
     if config.command == "norm":
         outputs, verdicts = _run_norm(config)
@@ -393,20 +387,17 @@ def run_command(config: RunConfig) -> tuple:
     else:
         raise UsageError(f"unknown command {config.command!r}")
 
-    record = make_record(config.command, _resolved_config(config), outputs, verdicts)
     stem = config.command if not config.statement_id else f"verify_{config.statement_id}"
-    paths = write_outputs(record, config.options["format"], config.options["out"], stem)
+    paths = _write(config, outputs, verdicts, stem)
     ok = all(v in PASS_VERDICTS for v in verdicts)
     print(f"{config.command} {config.statement_id}".strip() + f": {','.join(verdicts)} -> {paths}")
-    return record, 0 if ok else 1
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = parse_config(argv)
-        _, code = run_command(config)
-        return code
+        return run_command(parse_config(argv))
     except SystemExit:  # only --help leaves parse_config this way
         return 0
     except (UsageError, RangeViolation, ParameterOutOfRange, UnknownCatalogId, NonNormalizableDensity) as exc:

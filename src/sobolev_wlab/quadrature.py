@@ -7,7 +7,11 @@ Determinism contract: the sample budget, a multiple of 64, is split into
 most GROUP_POINTS points (BALL_GROUP_POINTS for ball averages; always at
 least one whole chunk), and the chunk means are folded in chunk order.
 Two runs with the same spec therefore return bit-identical estimates, and
-memory stays bounded at any budget.
+memory stays bounded at any budget.  For a convolved field this holds only
+at fixed GROUP_POINTS and smoothing.CONV_BLOCK: its value at a point is a
+BLAS matrix-vector product ``@ w`` over a block of points, which rounds the
+point's value by its place in the block, so another grouping or block size
+moves such estimates in the last bits.
 The reported standard error is the sample standard deviation of the
 chunk means divided by sqrt(64).
 
@@ -84,6 +88,13 @@ class QuadratureSpec:
             )
         if self.grid_points < 64:
             raise ParameterOutOfRange("oracle grid must have at least 64 points")
+        R = self.outer_radius
+        # a proposal's ball part covers B_R and its Pareto tail |x| >= 1, so
+        # together they cover R^n only for a finite R >= 1
+        if R is not None and not (np.isfinite(R) and R >= 1.0):
+            raise ParameterOutOfRange(
+                f"outer radius must be finite and at least 1 so that the proposal covers R^n, got {R}"
+            )
 
     def digest(self, integrand_label: str) -> str:
         raw = "|".join(
@@ -173,6 +184,13 @@ def _directions(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 def _guard_unit(u: np.ndarray) -> np.ndarray:
     # rng.random() can return exactly 0; keep radii strictly positive
     return np.maximum(u, 1e-300)
+
+
+def _ball_points(u: np.ndarray, g: np.ndarray, r: float) -> np.ndarray:
+    """Uniform points of the ball B_r in R^n from uniforms u of shape (m,)
+    and standard normals g of shape (m, n)."""
+    radii = r * _guard_unit(u) ** (1.0 / g.shape[-1])
+    return _to_sphere(g) * radii[:, None]
 
 
 @dataclass(frozen=True)
@@ -399,8 +417,7 @@ def ball_average(
         return rng.random(m), rng.standard_normal((m, n))
 
     def evaluate(u, g):
-        radii = r * _guard_unit(u) ** (1.0 / n)
-        return integrand(_to_sphere(g) * radii[:, None]) * ball_volume(n)
+        return integrand(_ball_points(u, g, r)) * ball_volume(n)
 
     chunk_means = _fold_chunks(spec, draw, evaluate, BALL_GROUP_POINTS)
     return _combine_chunks(chunk_means, spec.samples, digest)

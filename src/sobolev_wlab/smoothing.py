@@ -11,6 +11,7 @@ grid resolution.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +47,8 @@ def conv_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
     alive, so a new profile never receives the nodes of a freed one."""
     if n != profile.n:
         raise ParameterOutOfRange(f"profile normalized for n={profile.n}, requested n={n}")
+    if m < 1:
+        raise ParameterOutOfRange(f"convolution grid needs at least 1 radial cell, got {m}")
     # mildly graded radial cells on (0, epsilon], finer toward 0
     r, wr = _graded_half_grid(epsilon, m, floor=1e-6 * epsilon)
     eta_vals = profile.eta_radial(r / epsilon)  # eps^-n absorbed by normalization below
@@ -81,6 +84,24 @@ def conv_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
     return z, w
 
 
+def _mollify(f, points: tuple, epsilon: float, profile: MollifierProfile, conv_grid: int) -> np.ndarray:
+    """int f(p - z, ...) eta_eps(z) dz at each row p of the arrays in
+    ``points``, all of shape (m, n): ``(x,)`` for a scalar field, ``(x, y)``
+    for a pair field shifted along the diagonal.  Points are taken in blocks
+    of at most CONV_BLOCK (point, node) pairs, so memory stays bounded."""
+    if epsilon <= 0:
+        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
+    points = [np.atleast_2d(np.asarray(p, dtype=float)) for p in points]
+    n = points[0].shape[-1]
+    z, w = conv_nodes(profile, epsilon, n, conv_grid)
+    out = np.empty(points[0].shape[0])
+    block = max(1, CONV_BLOCK // len(w))
+    for start in range(0, len(out), block):
+        shifted = ((p[start : start + block, None, :] - z[None, :, :]).reshape(-1, n) for p in points)
+        out[start : start + block] = f(*shifted).reshape(-1, len(w)) @ w
+    return out
+
+
 def convolve(
     u: ScalarField,
     epsilon: float,
@@ -91,20 +112,10 @@ def convolve(
     """(u * eta_eps)(x) for an array of points x of shape (m, n).
 
     Exact 0 whenever dist(x, supp u) > eps (short-circuited by radius)."""
-    if epsilon <= 0:
-        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[-1]
-    z, w = conv_nodes(profile, epsilon, n, conv_grid)
     out = np.zeros(x.shape[0])
     active = row_norm(x) <= u.support_radius + epsilon
-    xa = x[active]
-    vals = np.empty(len(xa))
-    block = max(1, CONV_BLOCK // len(w))
-    for start in range(0, len(xa), block):
-        pts = xa[start : start + block, None, :] - z[None, :, :]  # (block, K, n)
-        vals[start : start + block] = u(pts.reshape(-1, n)).reshape(-1, len(w)) @ w
-    out[active] = vals
+    out[active] = _mollify(u, (x[active],), epsilon, profile, conv_grid)
     return out
 
 
@@ -134,19 +145,7 @@ def star_convolve(
     conv_grid: int,
 ) -> np.ndarray:
     """Diagonal-shift convolution: int v(x - z, y - z) eta_eps(z) dz."""
-    if epsilon <= 0:
-        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    n = x.shape[-1]
-    z, w = conv_nodes(profile, epsilon, n, conv_grid)
-    out = np.empty(x.shape[0])
-    block = max(1, CONV_BLOCK // len(w))
-    for start in range(0, x.shape[0], block):
-        px = (x[start : start + block, None, :] - z[None, :, :]).reshape(-1, n)
-        py = (y[start : start + block, None, :] - z[None, :, :]).reshape(-1, n)
-        out[start : start + block] = v(px, py).reshape(-1, len(w)) @ w
-    return out
+    return _mollify(v, (x, y), epsilon, profile, conv_grid)
 
 
 def star_convolve_field(
@@ -176,15 +175,5 @@ def pipeline_rho(
 
     Evaluation short-circuits by a distance check, so points outside
     min(2j, supp u) + eps return exactly 0."""
-    truncated = truncate(u, j, cutoff)
-    support = min(2.0 * j, u.support_radius) + epsilon
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        return convolve(truncated, epsilon, mollifier, x, conv_grid)
-
-    return ScalarField(
-        label=f"rho(j={j},eps={epsilon},{u.label})",
-        evaluator=ev,
-        support_radius=support,
-        smoothness="smooth",
-    )
+    rho = convolve_field(truncate(u, j, cutoff), epsilon, mollifier, conv_grid)
+    return replace(rho, label=f"rho(j={j},eps={epsilon},{u.label})")

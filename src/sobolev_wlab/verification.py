@@ -44,10 +44,10 @@ from .quadrature import (
     N_CHUNKS,
     QuadratureSpec,
     _RadialMixture,
+    _ball_points,
     _chunk_rng,
     _directions,
     _fold_chunks,
-    _guard_unit,
     _merge_flags,
     ball_average,
     pin_outer_radius,
@@ -128,20 +128,12 @@ def _ladder_report(statement_id: str, knob: str, ladder: Sequence[float],
 def reciprocal_weight_integrand(
     kind: WeightKind, params: SpaceParams, X: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> 1 / Theta(X + shift(z)), vectorized over z of shape (m, n)."""
-    n = params.n
-    if kind is WeightKind.PAIR:
-        x, y = X[:n], X[n:]
-
-        def f(z: np.ndarray) -> np.ndarray:
-            shifted = np.concatenate([x[None, :] + z, y[None, :] + z], axis=1)
-            w = weight_value(kind, params, shifted)
-            return np.where(np.isfinite(w), 1.0 / np.where(w > 0, w, 1.0), 0.0)
-
-        return f
+    """z -> 1 / Theta(X + shift(z)), vectorized over z of shape (m, n); the
+    shift moves each n-block of X (x, and y for the pair weight) by z."""
+    copies = 2 if kind is WeightKind.PAIR else 1
 
     def f(z: np.ndarray) -> np.ndarray:
-        w = weight_value(kind, params, X[None, :] + z)
+        w = weight_value(kind, params, X + np.tile(z, copies))
         return np.where(np.isfinite(w), 1.0 / np.where(w > 0, w, 1.0), 0.0)
 
     return f
@@ -156,62 +148,44 @@ def check_averaged_weight_bound(
 ) -> dict:
     """Sample (x, y, r) log-uniformly over the DECADES and measure the sup of
     Theta(X) * (ball average of 1/Theta(X + shift(z)))."""
+    if trials < 1:
+        raise ParameterOutOfRange(f"the averaged weight bound needs at least 1 trial, got {trials}")
     n = params.n
     sid = "prop-4.1" if kind is WeightKind.PAIR else "prop-4.2"
     rng = _chunk_rng(seed, 1_000_003)
     lo, hi = DECADES
-    products = np.empty(trials)
     witnesses = []
-    for i in range(trials):
+    for _ in range(trials):
         rx = 10.0 ** rng.uniform(lo, hi)
         r = 10.0 ** rng.uniform(lo, hi)
-        x = _directions(rng, 1, n)[0] * rx
+        X = _directions(rng, 1, n)[0] * rx
         if kind is WeightKind.PAIR:
             ry = 10.0 ** rng.uniform(lo, hi)
-            y = _directions(rng, 1, n)[0] * ry
-            X = np.concatenate([x, y])
-        else:
-            X = x
-        theta = float(weight_value(kind, params, X))
-        f = reciprocal_weight_integrand(kind, params, X)
-        est = ball_average(
-            f, n, r, QuadratureSpec(samples=inner_samples * N_CHUNKS, seed=seed + i), label=sid
-        )
-        products[i] = theta * est.value
+            X = np.concatenate([X, _directions(rng, 1, n)[0] * ry])
         witnesses.append((X, r))
-    half = trials // 2
+
+    def product(j: int, samples: int, stream: int) -> float:
+        """Theta(X) * (ball average) at witness j, from the given stream."""
+        X, r = witnesses[j]
+        f = reciprocal_weight_integrand(kind, params, X)
+        est = ball_average(f, n, r, QuadratureSpec(samples=samples, seed=stream), label=sid)
+        return float(weight_value(kind, params, X)) * est.value
+
+    products = np.array([product(j, inner_samples * N_CHUNKS, seed + j) for j in range(trials)])
     # the heavy right tail of the singular ball averages makes single-trial
-    # maxima overshoot; re-estimate the top candidates of each half with a
-    # much larger inner budget so the verdict compares the landscape, not
-    # the per-trial noise
+    # maxima overshoot; re-estimate the top candidates of all trials and of
+    # the first half with a much larger inner budget, each candidate once, so
+    # the verdict compares the landscape, not the per-trial noise
     refine = inner_samples * N_CHUNKS * 32
-    # a candidate's refined value depends only on its index (its seed is
-    # seed + trials + index), so a candidate in the top of both the first
-    # half and all trials is refined once
-    refined = {}
-
-    def _refined_max(indices):
-        best_val, best_idx = -np.inf, int(indices[0])
-        for j in map(int, indices):
-            if j not in refined:
-                X, r = witnesses[j]
-                f = reciprocal_weight_integrand(kind, params, X)
-                est = ball_average(
-                    f, n, r, QuadratureSpec(samples=refine, seed=seed + trials + j), label=sid
-                )
-                refined[j] = float(weight_value(kind, params, X)) * est.value
-            if refined[j] > best_val:
-                best_val, best_idx = refined[j], j
-        return best_val, best_idx
-
     top_k = min(16, trials)
-    order_all = np.argsort(products)[::-1][:top_k]
-    max_all, idx = _refined_max(order_all)
-    if half > 0:
-        order_first = np.argsort(products[:half])[::-1][:top_k]
-        max_first, _ = _refined_max(order_first)
-    else:
-        max_first = max_all
+    top_all = [int(j) for j in np.argsort(products)[::-1][:top_k]]
+    top_first = [int(j) for j in np.argsort(products[: trials // 2])[::-1][:top_k]]
+    refined = {j: product(j, refine, seed + trials + j) for j in dict.fromkeys(top_all + top_first)}
+    # max keeps the first of equal values, so the earliest candidate in
+    # descending-product order wins a tie
+    idx = max(top_all, key=refined.__getitem__)
+    max_all = refined[idx]
+    max_first = max(refined[j] for j in top_first) if top_first else max_all
     stable = max_all <= (1.0 + STABILIZATION_SLACK) * max_first
     wX, wr = witnesses[idx]
     return {
@@ -260,10 +234,8 @@ def check_maximal_bound(
     def draw(rng, m):
         x = _directions(rng, m, n) * mix.sample_radii(rng, m)[:, None]
         y = _directions(rng, m, n) * mix.sample_radii(rng, m)[:, None]
-        zu = (
-            _directions(rng, MAXIMAL_INNER_SAMPLES, n)
-            * _guard_unit(rng.random(MAXIMAL_INNER_SAMPLES))[:, None] ** (1.0 / n)
-        )
+        g = rng.standard_normal((MAXIMAL_INNER_SAMPLES, n))  # normals before uniforms
+        zu = _ball_points(rng.random(MAXIMAL_INNER_SAMPLES), g, 1.0)
         return x, y, np.broadcast_to(zu, (m, MAXIMAL_INNER_SAMPLES, n))
 
     def evaluate(x, y, zu):

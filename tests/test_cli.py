@@ -32,10 +32,22 @@ def test_norm_pass_and_json(tmp_path, capsys):
     assert rep["full"] > 0
 
 
-def test_range_error_exit_2(capsys):
-    assert main(["norm", "--n", "1", "--s", "0.5", "--p", "2", "--a", "0"]) == 2
-    assert "s*p < n" in capsys.readouterr().err
-    assert main(["norm", *BASE, "--samples", "1000"]) == 2  # not a multiple of 64 chunks
+@pytest.mark.parametrize("args,message", [
+    (["norm", "--n", "1", "--s", "0.5", "--p", "2", "--a", "0"], "s*p < n"),
+    (["norm", *BASE, "--samples", "1000"], "multiple of the 64 chunks"),
+    # the proposal would leave part of R^n at zero density, or be NaN
+    *((["norm", *BASE, "--samples", "6400", "--outer-radius", r], "covers R^n")
+      for r in ("0", "-2", "nan", "inf", "0.5")),
+    *((["verify", "prop-4.1", *BASE, "--trials", t], "trial") for t in ("0", "-3")),
+    *((["verify", "lemma-6.1", *BASE, "--samples", "6400", "--conv-grid", m], "convolution grid")
+      for m in ("0", "-4")),
+], ids=["sp-not-below-n", "samples-1000", "outer-radius-0", "outer-radius--2", "outer-radius-nan",
+        "outer-radius-inf", "outer-radius-0.5", "trials-0", "trials--3", "conv-grid-0", "conv-grid--4"])
+def test_range_error_exit_2(args, message, tmp_path, capsys):
+    """An out-of-range value exits 2 with a message and writes no record."""
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("field", ["polynomial_tail(q=3)", "smooth_bump(X=5)", "polynomial_tail"])
@@ -200,23 +212,43 @@ GOLDEN_RECORDS = {
 }
 
 
-def test_records_golden(tmp_path, capsys):
-    """Every record the CLI writes is pinned byte for byte, so a refactor of
-    how records are built or rendered cannot move a value or a key."""
-    run_args = [*BASE, "--seed", "7", "--samples", "6400", "--trials", "20",
-                "--conv-grid", "32", "--out", str(tmp_path)]
-    commands = {sid: ["verify", sid] for sid in STATEMENT_IDS}
-    commands["norm"] = ["norm"]
-    commands["approx"] = ["approx", "--field", "polynomial_tail(gamma=3)"]
+# the same at n=2, for the statements whose code runs on 2-d point arrays,
+# at 1,024 samples, 20 trials and conv grid 16
+GOLDEN_RECORDS_N2 = {
+    "prop-4.1": "bb69734e622cf1421331c653d0ed519971718d3a6e7cf062b5ebd38ed8873878",
+    "prop-4.2": "cc61ed34f647b1a653d64f8b0d627a2b0cd0356699b46ea0f7d37189e2d3cc44",
+    "lemma-4.3": "5a43dc8f51c17d7e661f5b4968b54c8e1cf45553712c495fcac41d569d297d8a",
+    "prop-4.4": "fc8fd84480664e350bd6813d0eb331421dfc916bbb3ea6d481101c6c31980a63",
+    "eq-6.4": "cd2e2ebadf2104bd8853a8619c3be07db7ae79d3c461b2faefb4d4a4d65f8008",
+    "approx": "b4f3a27388207f9af1584bdde953ad13e5a7b64ee41936d0f3e7756108812523",
+}
+
+
+def _record_digests(commands: dict, run_args: list, out) -> dict:
     digests = {}
     for name, command in commands.items():
-        assert main([*command, *run_args]) == 0, name
+        assert main([*command, *run_args, "--out", str(out)]) == 0, name
         stem = f"verify_{name}" if command[0] == "verify" else name
-        record = json.loads((tmp_path / f"{stem}.json").read_text())
+        record = json.loads((out / f"{stem}.json").read_text())
         record.pop("timestamp")
         record["config"].pop("out")
         digests[name] = hashlib.sha256(canonical_json(record).encode()).hexdigest()
-    assert digests == GOLDEN_RECORDS
+    return digests
+
+
+def test_records_golden(tmp_path, capsys):
+    """Every record the CLI writes is pinned byte for byte, so a refactor of
+    how records are built or rendered cannot move a value or a key."""
+    commands = {sid: ["verify", sid] for sid in STATEMENT_IDS}
+    commands["norm"] = ["norm"]
+    commands["approx"] = ["approx", "--field", "polynomial_tail(gamma=3)"]
+    run_args = [*BASE, "--seed", "7", "--samples", "6400", "--trials", "20", "--conv-grid", "32"]
+    assert _record_digests(commands, run_args, tmp_path / "n1") == GOLDEN_RECORDS
+    commands_n2 = {name: ["verify", name] for name in GOLDEN_RECORDS_N2 if name != "approx"}
+    commands_n2["approx"] = ["approx"]
+    run_args_n2 = ["--n", "2", "--s", "0.3", "--p", "2", "--a", "0.1", "--seed", "7",
+                   "--samples", "1024", "--trials", "20", "--conv-grid", "16"]
+    assert _record_digests(commands_n2, run_args_n2, tmp_path / "n2") == GOLDEN_RECORDS_N2
 
 
 # a small oracle grid on which the statement's refinement check passes

@@ -42,6 +42,11 @@ def test_spec_validation():
         QuadratureSpec(grid_points=8)
     with pytest.raises(ParameterOutOfRange):
         QuadratureSpec(method="simpson")
+    # the proposal covers R^n only for a finite outer radius of at least 1
+    for radius in (0.0, -2.0, 0.5, np.nan, np.inf):
+        with pytest.raises(ParameterOutOfRange, match="covers R\\^n"):
+            QuadratureSpec(outer_radius=radius)
+    assert QuadratureSpec(outer_radius=1.0).outer_radius == 1.0
 
 
 def test_digest_distinguishes():
