@@ -51,6 +51,12 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class PairField:
+    """A field on R^n x R^n that is antisymmetric bit for bit:
+    v(y, x) == -v(x, y).  The norms rely on it to score each unordered
+    pair once.  The lift has it because IEEE subtraction rounds a - b and
+    b - a to exact negatives, and pair subtraction, clipping and
+    star-convolution keep it, since each commutes with exact negation."""
+
     label: str
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     # radius such that the field vanishes when both blocks are outside it;

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ParameterOutOfRange
 from .fields import PairField, ScalarField, lift_difference_quotient
 from .params import GeneralWeightParams, SpaceParams
 from .quadrature import (
@@ -61,6 +62,18 @@ def _root(est: Estimate, power: float) -> Estimate:
     )
 
 
+def _oracle_x_max(spec: QuadratureSpec, support_radius: float, label: str) -> float:
+    """The oracle's x range [-x_max, x_max], which must hold the field's
+    finite support: the oracle integrates nothing beyond it."""
+    R = spec.outer_radius
+    if R is not None and np.isfinite(support_radius) and R < support_radius:
+        raise ParameterOutOfRange(
+            f"outer radius {R} is below the support radius {support_radius} of {label}; "
+            "the tensor oracle would cut the field off"
+        )
+    return resolve_outer_radius(spec, support_radius)
+
+
 def _pair_power_integral(v: PairField, params: SpaceParams, alpha: float, beta: float,
                          spec: QuadratureSpec, label: Optional[str] = None) -> Estimate:
     """Raw integral iint |v|^p |x|^(-alpha) |y|^(-beta) dx dy, by the tensor
@@ -71,9 +84,11 @@ def _pair_power_integral(v: PairField, params: SpaceParams, alpha: float, beta: 
     def g(x, y):
         return np.abs(v(x, y)) ** p
 
+    # every pair field is antisymmetric, v(y, x) == -v(x, y), so g is the
+    # symmetric integrand both estimators require
     if spec.method == METHOD_TENSOR_ORACLE:
         tensor_oracle_1d_available(params.n)
-        x_max = resolve_outer_radius(spec, v.x_support_radius)
+        x_max = _oracle_x_max(spec, v.x_support_radius, v.label)
         return oracle_pair_integral_1d(
             g, alpha, beta, x_max=x_max, z_max=2.0 * x_max, spec=spec, label=label
         )
@@ -94,14 +109,18 @@ def _power_integral(u: ScalarField, params: SpaceParams, spec: QuadratureSpec,
 
     if spec.method == METHOD_TENSOR_ORACLE:
         tensor_oracle_1d_available(n)
-        x_max = resolve_outer_radius(spec, u.support_radius)
+        x_max = _oracle_x_max(spec, u.support_radius, u.label)
         return oracle_weighted_integral_1d(f, b, x_max=x_max, spec=spec, label=label)
     rspec = pin_outer_radius(spec, u.support_radius)
     return estimate_weighted_integral_Rn(f, n=n, weight_exponent=b, spec=rspec, label=label)
 
 
 def norm_lpaa_2n(v: PairField, params: SpaceParams, spec: QuadratureSpec) -> Estimate:
-    """(iint |v|^p |x|^(-a) |y|^(-a) dx dy)^(1/p)."""
+    """(iint |v|^p |x|^(-a) |y|^(-a) dx dy)^(1/p).
+
+    v must be antisymmetric bit for bit, v(y, x) == -v(x, y), as every
+    PairField the package builds is: the estimators score each unordered
+    pair once."""
     raw = _pair_power_integral(v, params, params.a, params.a, spec)
     return _root(raw, params.p)
 

@@ -15,6 +15,14 @@ moves such estimates in the last bits.
 The reported standard error is the sample standard deviation of the
 chunk means divided by sqrt(64).
 
+Symmetry contract: the pair estimators require a symmetric integrand,
+g(y, x) == g(x, y) bit for bit, and evaluate it once per unordered pair.
+The norms pass g = |v|^p, which is symmetric because every PairField is
+antisymmetric, v(y, x) == -v(x, y) (negation is exact in IEEE
+arithmetic).  The oracle sums its terms block by block over the z grid
+(blocks of at most 2^22 grid points), so its value depends at rounding
+level on that blocking and on the order of the terms.
+
 Philox is counter-based: a stream is fixed by its key and its counter.
 So each estimate builds one generator and switches it from stream to
 stream by setting its state (key [seed, k], zero counter, empty buffers);
@@ -346,13 +354,15 @@ def estimate_pair_integral_singular(
 
         iint g(x, y) |x|^(-alpha) |y|^(-beta) dx dy
 
-    for a nonnegative g concentrated near the diagonal (its far field must
-    decay at least like the fractional kernel, radially |z|^(-n-sp) in
-    z = y - x).  Sampling: x from a weighted ball + Pareto mixture, z from
-    a near-singularity power density of radial index ``kappa`` + Pareto
-    tail, evaluated in antithetic pairs (z, -z).  The tail index of both
+    for a nonnegative symmetric g, g(y, x) == g(x, y), concentrated near
+    the diagonal (its far field must decay at least like the fractional
+    kernel, radially |z|^(-n-sp) in z = y - x).  Sampling: x from a
+    weighted ball + Pareto mixture, z from a near-singularity power density
+    of radial index ``kappa`` + Pareto tail, evaluated in antithetic pairs
+    (z, -z).  The tail index of both
     is s*p shifted down by any negative weight exponent so the
-    importance weights stay bounded.
+    importance weights stay bounded.  By the symmetry g is evaluated once
+    per sign and serves both argument orders.
     """
     R = resolve_outer_radius(spec, x_support_radius)
     # the balance heuristic below scores each sample under both argument
@@ -379,20 +389,22 @@ def estimate_pair_integral_singular(
         qz = mix_z.density(rz)
         qx = mix_x.density(rx)
         # balance-heuristic combination of the x-anchored pair (x, x+z) and
-        # the swapped y-anchored pair; without it the importance weight blows
+        # the swapped y-anchored pair, both scored by the one value g(x, x+z);
+        # without it the importance weight blows
         # up on the strip where one variable is far out and the other sits
         # in the support (unbounded variance)
+        wx_alpha = rx ** (-alpha)
+        wx_beta = rx ** (-beta)
         vals = 0.0
         for sgn in (1.0, -1.0):  # antithetic pair in z
             y = x + sgn * z
             ry = row_norm(y)
             ry_safe = np.where(ry > 0.0, ry, 1.0)
             qsum = qz * (qx + mix_x.density(ry))
-            g1 = pair_integrand(x, y)
-            g2 = pair_integrand(y, x)
-            f1 = g1 * rx ** (-alpha) * np.where(ry > 0.0, ry_safe ** (-beta), 0.0)
-            f2 = g2 * np.where(ry > 0.0, ry_safe ** (-alpha), 0.0) * rx ** (-beta)
-            both = np.where(g1 != 0.0, f1, 0.0) + np.where(g2 != 0.0, f2, 0.0)
+            wy_alpha = np.where(ry > 0.0, ry_safe ** (-alpha), 0.0)
+            wy_beta = np.where(ry > 0.0, ry_safe ** (-beta), 0.0)
+            g = pair_integrand(x, y)
+            both = np.where(g != 0.0, g * wx_alpha * wy_beta + g * wy_alpha * wx_beta, 0.0)
             vals = vals + 0.5 * both / qsum
         return vals
 
@@ -496,19 +508,26 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
     on a (bounded variable, z) grid with y = x + z resp. x = y - z; the z
     axis is graded toward the diagonal singularity and extended to infinity
     by an inverse-transform far segment.
+
+    g is symmetric, so part 2's value g(u - z, u) at z is part 1's value
+    g(u, u - z) at -z.  The loop runs over z > 0 only, and each value
+    g(u, t), t = u +- z, feeds part 1 at y = t and part 2 at x = t.
     """
     zm, zw = _graded_half_grid(z_max, cells)
     # far segment: w = 1/z mapped onto (0, 1/z_max], covering [z_max, inf)
     wm, ww = _graded_half_grid(1.0 / z_max, cells // 2)
     z = np.concatenate([zm, 1.0 / wm])
     wz = np.concatenate([zw, ww / (wm * wm)])
-    z = np.concatenate([z, -z])
-    wz = np.concatenate([wz, wz])
 
     um, uw = _graded_half_grid(x_max, cells, floor=1e-6)
     u = np.concatenate([um, -um])
     uw = np.concatenate([uw, uw])
     m = len(u)
+    w1 = np.abs(u) ** (-alpha) * uw
+    w2 = np.abs(u) ** (-beta) * uw
+
+    def weighted(vals, t, exponent):
+        return vals * np.maximum(np.abs(t), 1e-300) ** (-exponent)
 
     total = 0.0
     block = max(1, (1 << 22) // m)
@@ -517,21 +536,14 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
         wzb = wz[start : start + block]
         k = len(zb)
         ub = np.broadcast_to(u[:, None], (m, k)).reshape(-1, 1)
-        # part 1: x = u bounded, y = x + z anywhere
-        y = u[:, None] + zb[None, :]
-        vals = g(ub, y.reshape(-1, 1)).reshape(m, k)
-        ay = np.maximum(np.abs(y), 1e-300)
-        w1 = np.abs(u) ** (-alpha) * uw
-        total += float(w1 @ (vals * ay ** (-beta)) @ wzb)
-        # part 2: y = u bounded, x = y - z restricted to |x| > x_max
-        xx = u[:, None] - zb[None, :]
-        vals = g(xx.reshape(-1, 1), ub).reshape(m, k)
-        ax = np.abs(xx)
-        outside = ax > x_max
-        w2 = np.abs(u) ** (-beta) * uw
-        total += float(
-            w2 @ (np.where(outside, vals * np.maximum(ax, 1e-300) ** (-alpha), 0.0)) @ wzb
-        )
+        for sgn in (1.0, -1.0):
+            t = u[:, None] + sgn * zb[None, :]
+            vals = g(ub, t.reshape(-1, 1)).reshape(m, k)
+            # part 1: x = u bounded, y = t anywhere
+            total += float(w1 @ weighted(vals, t, beta) @ wzb)
+            # part 2: y = u bounded, x = t restricted to |x| > x_max
+            outside = np.where(np.abs(t) > x_max, weighted(vals, t, alpha), 0.0)
+            total += float(w2 @ outside @ wzb)
     return total
 
 
@@ -545,8 +557,8 @@ def oracle_pair_integral_1d(
     label: str = "",
 ) -> Estimate:
     """Deterministic estimate of iint g(x, y) |x|^(-alpha) |y|^(-beta) dx dy
-    in n = 1, on the (x, z) plane with y = x + z and graded grids toward 0,
-    on the spec's grid."""
+    in n = 1 for a symmetric g, g(y, x) == g(x, y), on the (x, z) plane
+    with y = x + z and graded grids toward 0, on the spec's grid."""
     coarse, mid, fine = _refine(
         lambda cells: _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells), spec.grid_points
     )

@@ -41,8 +41,12 @@ def test_norm_pass_and_json(tmp_path, capsys):
     *((["verify", "prop-4.1", *BASE, "--trials", t], "trial") for t in ("0", "-3")),
     *((["verify", "lemma-6.1", *BASE, "--samples", "6400", "--conv-grid", m], "convolution grid")
       for m in ("0", "-4")),
+    # the oracle integrates x over [-R, R] only, so R must hold the support
+    *((["norm", *BASE, "--field", "smooth_bump(R=3)", "--method", "tensor_oracle_1d",
+        "--grid-points", "256", "--outer-radius", r], "below the support radius") for r in ("1", "2")),
 ], ids=["sp-not-below-n", "samples-1000", "outer-radius-0", "outer-radius--2", "outer-radius-nan",
-        "outer-radius-inf", "outer-radius-0.5", "trials-0", "trials--3", "conv-grid-0", "conv-grid--4"])
+        "outer-radius-inf", "outer-radius-0.5", "trials-0", "trials--3", "conv-grid-0", "conv-grid--4",
+        "oracle-outer-radius-1", "oracle-outer-radius-2"])
 def test_range_error_exit_2(args, message, tmp_path, capsys):
     """An out-of-range value exits 2 with a message and writes no record."""
     assert main([*args, "--out", str(tmp_path)]) == 2

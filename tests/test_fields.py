@@ -19,17 +19,21 @@ from sobolev_wlab import (
     hat_1d_field,
     lift_difference_quotient,
     make_field,
+    pipeline_rho,
     polynomial_tail_field,
     singular_spike_field,
     smooth_bump_field,
+    star_convolve_field,
     validate_params,
     zero_field,
 )
 from sobolev_wlab.fields import (
+    _CATALOG_IDS,
     ball_volume,
     cutoff_tau_j,
     default_cutoff,
     default_mollifier,
+    pair_subtract,
     parse_field_spec,
     sphere_area,
     subtract,
@@ -161,3 +165,39 @@ def test_smoothness_is_the_roughest_operand(params1d):
 
     assert multiply_cutoff(hat_1d_field(), tau).smoothness == "continuous"
     assert multiply_cutoff(spike, tau).smoothness == "measurable"
+
+
+# one instance of every catalog field; hat_1d exists only in n = 1
+CATALOG_SPECS = ("zero", "gaussian", "smooth_bump(R=1.5)", "hat_1d", "polynomial_tail(gamma=3)",
+                 "singular_spike(gamma=0.1,R=1)")
+
+
+def _pair_fields(kind, n):
+    params = validate_params(n, 0.3, 2.0, 0.1)
+    lift = lambda u: lift_difference_quotient(u, params)  # noqa: E731
+    specs = [spec for spec in CATALOG_SPECS if n == 1 or spec != "hat_1d"]
+    us = [field_from_spec(spec, params) for spec in specs]
+    if kind == "lift":
+        return [lift(u) for u in us]
+    if kind == "lift_of_sub_rho":
+        rho = pipeline_rho(gaussian_field(), 1.0, 0.5, default_cutoff(), default_mollifier(n), 16)
+        return [lift(subtract(gaussian_field(), rho))]
+    if kind == "clip":
+        return [clip_to_level(lift(u), 0.2) for u in us]
+    if kind == "pair_subtract":
+        return [pair_subtract(lift(gaussian_field()), lift(smooth_bump_field(1.5)))]
+    return [star_convolve_field(lift(smooth_bump_field(1.5)), default_mollifier(n), 0.5, 16)]
+
+
+@pytest.mark.parametrize("kind", ["lift", "lift_of_sub_rho", "clip", "pair_subtract", "star_convolve"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_fields_are_antisymmetric(kind, n, rng):
+    """The PairField contract that lets the estimators score each unordered
+    pair once: v(y, x) == -v(x, y) bit for bit, for every pair field the
+    package builds."""
+    assert {spec.split("(")[0] for spec in CATALOG_SPECS} == set(_CATALOG_IDS)
+    x = rng.normal(size=(300, n)) * 1.5
+    y = x + rng.normal(size=(300, n)) * np.geomspace(1e-3, 4.0, 300)[:, None]
+    y[:5] = x[:5]  # the diagonal
+    for v in _pair_fields(kind, n):
+        assert np.array_equal(v(y, x), -v(x, y)), v.label

@@ -13,9 +13,14 @@ from sobolev_wlab import (
     ball_average,
     estimate_pair_integral_singular,
     estimate_weighted_integral_Rn,
+    gaussian_field,
+    hat_1d_field,
+    lift_difference_quotient,
     oracle_pair_integral_1d,
     oracle_weighted_integral_1d,
     quadrature,
+    smooth_bump_field,
+    validate_params,
 )
 from sobolev_wlab.quadrature import (
     METHOD_TENSOR_ORACLE,
@@ -67,11 +72,12 @@ def test_oracle_closed_form_singular():
 
 
 def test_oracle_pair_closed_form():
-    # iint exp(-x^2) |z|^(-1/2) 1_{|z|<=1} dx dz = 2 * 2 * sqrt(pi)
+    # iint (exp(-x^2) + exp(-y^2))/2 |z|^(-1/2) 1_{|z|<=1} dx dz = 2 * 2 * sqrt(pi)
     def g(x, y):
         z = np.abs((y - x)[..., 0])
         inside = (z <= 1.0) & (z > 0)
-        return np.exp(-x[..., 0] ** 2) * np.where(inside, np.where(z > 0, z, 1.0) ** -0.5, 0.0)
+        bump = 0.5 * (np.exp(-x[..., 0] ** 2) + np.exp(-y[..., 0] ** 2))
+        return bump * np.where(inside, np.where(z > 0, z, 1.0) ** -0.5, 0.0)
 
     exact = 4 * np.sqrt(np.pi)
     spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=1024)
@@ -129,7 +135,8 @@ def test_pair_mc_matches_oracle():
     def g(x, y):
         z = np.abs((y - x)[..., 0])
         inside = (z <= 1.0) & (z > 0)
-        return np.exp(-x[..., 0] ** 2) * np.where(inside, np.where(z > 0, z, 1.0) ** -0.5, 0.0)
+        bump = 0.5 * (np.exp(-x[..., 0] ** 2) + np.exp(-y[..., 0] ** 2))
+        return bump * np.where(inside, np.where(z > 0, z, 1.0) ** -0.5, 0.0)
 
     exact = 4 * np.sqrt(np.pi)
     est = estimate_pair_integral_singular(
@@ -237,3 +244,87 @@ def test_estimate_roundtrip_dict():
     est = Estimate(value=1.0, stderr=0.1, samples_used=100, spec_digest="ab", flags=("x",))
     d = json.loads(canonical_json(asdict(est)))
     assert d["value"] == 1.0 and d["flags"] == ["x"]
+
+
+# ---------------------------------------------------------------------------
+# the pair estimators score each unordered pair of a symmetric g once
+
+
+def _lift_power(u, params):
+    v = lift_difference_quotient(u, params)
+    return lambda x, y: np.abs(v(x, y)) ** params.p
+
+
+def _pair_mc(g, params, alpha, beta, samples):
+    return estimate_pair_integral_singular(
+        g, n=params.n, alpha=alpha, beta=beta, sp=params.sp,
+        spec=QuadratureSpec(samples=samples, seed=5), kappa=params.p * (1.0 - params.s),
+        x_support_radius=1.0,
+    )
+
+
+@pytest.mark.parametrize("n,alpha,beta,value,stderr", [
+    (1, 0.1, 0.1, 1.3399963224909541, 0.05460475719253998),
+    (1, 0.2, 0.0, 1.3842436019172029, 0.05662641021194443),
+    (2, 0.1, 0.1, 3.5722412111203488, 0.5266698088034318),
+    (2, 0.2, 0.0, 3.560013308414362, 0.4713782428653533),
+])
+def test_pair_mc_golden(n, alpha, beta, value, stderr):
+    """The estimates that evaluating g(x, y) and g(y, x) apart gave, to the
+    bit: reusing g(x, y) for the swapped order changes no estimate."""
+    params = validate_params(n, 0.3, 2.0, 0.1)
+    est = _pair_mc(_lift_power(smooth_bump_field(1.0), params), params, alpha, beta, 6400)
+    assert (est.value, est.stderr) == (value, stderr)
+
+
+def _two_part_tensor_sum(g, alpha, beta, x_max, cells):
+    """The oracle's tensor sum with both parts on the full z grid, part 2
+    evaluating g(u - z, u) itself: the reference for the half-grid sum."""
+    zm, zw = quadrature._graded_half_grid(2.0 * x_max, cells)
+    wm, ww = quadrature._graded_half_grid(0.5 / x_max, cells // 2)
+    z = np.concatenate([zm, 1.0 / wm, -zm, -1.0 / wm])
+    wz = np.tile(np.concatenate([zw, ww / (wm * wm)]), 2)
+    um, uw = quadrature._graded_half_grid(x_max, cells, floor=1e-6)
+    u, uw = np.concatenate([um, -um])[:, None], np.concatenate([uw, uw])[:, None]
+    y = u + z
+    x = u - z
+    ub = np.broadcast_to(u, y.shape).reshape(-1, 1)
+    part1 = g(ub, y.reshape(-1, 1)).reshape(y.shape) * np.abs(u) ** -alpha * np.abs(y) ** -beta
+    part2 = g(x.reshape(-1, 1), ub).reshape(x.shape) * np.abs(x) ** -alpha * np.abs(u) ** -beta
+    part2 = np.where(np.abs(x) > x_max, part2, 0.0)
+    return float(np.sum((part1 + part2) * uw * wz))
+
+
+@pytest.mark.parametrize("s,p,a", [(0.3, 2.0, 0.1), (0.3, 2.0, 0.0), (0.4, 2.0, 0.05)])
+def test_pair_oracle_half_grid_agrees(s, p, a):
+    """The criterion-01 fixtures, at their own weight and at alpha != beta:
+    on one grid (the oracle's value is that of its finest) the half-grid
+    sum has the terms of the two-part sum, in another order."""
+    params = validate_params(1, s, p, a)
+    for u in (hat_1d_field(), smooth_bump_field(1.0), gaussian_field()):
+        g = _lift_power(u, params)
+        x_max = resolve_outer_radius(QuadratureSpec(), u.support_radius)
+        for alpha, beta in ((a, a), (a + 0.1, 0.0)):
+            half = quadrature._oracle_pair_1d_once(g, alpha, beta, x_max, 2.0 * x_max, 256)
+            assert half == pytest.approx(_two_part_tensor_sum(g, alpha, beta, x_max, 256), rel=1e-12)
+
+
+def test_pair_estimators_evaluate_each_pair_once():
+    """Monte Carlo reads g once per sample and sign; the oracle once per
+    point of the (x, z > 0) grid and sign.  Scoring both argument orders
+    apart took twice as many points."""
+    params = validate_params(1, 0.3, 2.0, 0.1)
+    g = _lift_power(smooth_bump_field(1.0), params)
+
+    def counted(x, y):
+        counted.points += x.shape[0]
+        return g(x, y)
+
+    counted.points = 0
+    _pair_mc(counted, params, 0.1, 0.1, 6400)
+    assert counted.points == 2 * 6400
+    counted.points = 0
+    spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=64)
+    oracle_pair_integral_1d(counted, 0.2, 0.0, 11.0, 22.0, spec)
+    # grids of 16, 32 and 64 cells: 2(c+1) points in x, c+1 + c//2+1 in z > 0
+    assert counted.points == sum(2 * 2 * (c + 1) * (c + 1 + c // 2 + 1) for c in (16, 32, 64))
