@@ -40,6 +40,11 @@ def ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class ScalarField:
+    """A field on R^n.  In n = 1 every field is even, u(-x) == u(x): the
+    catalog fields are radial, hat_1d is even, and dilation, subtraction,
+    the radial cutoff and convolution with the radial mollifier keep it.
+    The 1-d oracle relies on it to sum over x > 0 only."""
+
     label: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_radius: float  # np.inf for global support, 0.0 for the zero field
@@ -55,7 +60,11 @@ class PairField:
     v(y, x) == -v(x, y).  The norms rely on it to score each unordered
     pair once.  The lift has it because IEEE subtraction rounds a - b and
     b - a to exact negatives, and pair subtraction, clipping and
-    star-convolution keep it, since each commutes with exact negation."""
+    star-convolution keep it, since each commutes with exact negation.
+
+    In n = 1 every pair field is also even, v(-x, -y) == v(x, y), since the
+    lift of an even field is and the pair operations keep it.  The 1-d
+    oracle relies on it to sum over x > 0 only."""
 
     label: str
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]

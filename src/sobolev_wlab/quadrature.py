@@ -23,6 +23,12 @@ arithmetic).  The oracle sums its terms block by block over the z grid
 (blocks of at most 2^22 grid points), so its value depends at rounding
 level on that blocking and on the order of the terms.
 
+Reflection contract: the 1-d oracle requires integrands that are even,
+f(-x) == f(x) and g(-x, -y) == g(x, y), as the powers of every n = 1
+field the package builds are (ScalarField, PairField).  Its weights
+|x|^(-c) are even too, so it sums the x > 0 half of its grid and doubles
+it.
+
 Philox is counter-based: a stream is fixed by its key and its counter.
 So each estimate builds one generator and switches it from stream to
 stream by setting its state (key [seed, k], zero counter, empty buffers);
@@ -455,12 +461,10 @@ def _graded_half_grid(length: float, cells: int, floor: float = ORACLE_CELL_FLOO
 
 
 def _oracle_weighted_1d_once(f, c: float, x_max: float, cells: int) -> float:
+    """Midpoint rule for int_{-x_max}^{x_max} f(x) |x|^(-c) dx on x > 0,
+    doubled: f is even, so the x < 0 half mirrors it term for term."""
     mids, widths = _graded_half_grid(x_max, cells)
-    total = 0.0
-    for sgn in (1.0, -1.0):
-        x = (sgn * mids)[:, None]
-        total += float(np.sum(f(x) * mids ** (-c) * widths))
-    return total
+    return 2.0 * float(np.sum(f(mids[:, None]) * mids ** (-c) * widths))
 
 
 def _refine(once: Callable[[int], float], grid_points: int) -> tuple:
@@ -489,7 +493,8 @@ def oracle_weighted_integral_1d(
     label: str = "",
 ) -> Estimate:
     """Deterministic estimate of int_R f(x) |x|^(-c) dx with graded midpoint
-    cells, on the spec's grid."""
+    cells, on the spec's grid.  f must be even, f(-x) == f(x): the rule
+    evaluates it on x > 0 only and doubles the sum."""
     _, mid, fine = _refine(lambda cells: _oracle_weighted_1d_once(f, c, x_max, cells), spec.grid_points)
     return Estimate(
         value=fine,
@@ -512,6 +517,10 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
     g is symmetric, so part 2's value g(u - z, u) at z is part 1's value
     g(u, u - z) at -z.  The loop runs over z > 0 only, and each value
     g(u, t), t = u +- z, feeds part 1 at y = t and part 2 at x = t.
+
+    g is also even, g(-x, -y) == g(x, y), and both weights are even, so the
+    term at (-u, z, -sign) equals the term at (u, z, sign): the bounded
+    variable runs over u > 0 only, and its weights count each term twice.
     """
     zm, zw = _graded_half_grid(z_max, cells)
     # far segment: w = 1/z mapped onto (0, 1/z_max], covering [z_max, inf)
@@ -519,12 +528,10 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
     z = np.concatenate([zm, 1.0 / wm])
     wz = np.concatenate([zw, ww / (wm * wm)])
 
-    um, uw = _graded_half_grid(x_max, cells, floor=1e-6)
-    u = np.concatenate([um, -um])
-    uw = np.concatenate([uw, uw])
+    u, uw = _graded_half_grid(x_max, cells, floor=1e-6)
     m = len(u)
-    w1 = np.abs(u) ** (-alpha) * uw
-    w2 = np.abs(u) ** (-beta) * uw
+    w1 = 2.0 * u ** (-alpha) * uw
+    w2 = 2.0 * u ** (-beta) * uw
 
     def weighted(vals, t, exponent):
         return vals * np.maximum(np.abs(t), 1e-300) ** (-exponent)
@@ -558,7 +565,9 @@ def oracle_pair_integral_1d(
 ) -> Estimate:
     """Deterministic estimate of iint g(x, y) |x|^(-alpha) |y|^(-beta) dx dy
     in n = 1 for a symmetric g, g(y, x) == g(x, y), on the (x, z) plane
-    with y = x + z and graded grids toward 0, on the spec's grid."""
+    with y = x + z and graded grids toward 0, on the spec's grid.  g must
+    also be even, g(-x, -y) == g(x, y): the bounded variable runs over
+    x > 0 only and the sum is doubled."""
     coarse, mid, fine = _refine(
         lambda cells: _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells), spec.grid_points
     )

@@ -201,3 +201,29 @@ def test_pair_fields_are_antisymmetric(kind, n, rng):
     y[:5] = x[:5]  # the diagonal
     for v in _pair_fields(kind, n):
         assert np.array_equal(v(y, x), -v(x, y)), v.label
+
+
+@pytest.mark.parametrize("kind", ["catalog", "lift", "lift_of_sub_rho", "clip", "pair_subtract", "star_convolve"])
+def test_fields_are_even_in_1d(kind, rng):
+    """The contract that lets the 1-d oracle sum over x > 0 only and double
+    it: in n = 1, u(-x) == u(x) and v(-x, -y) == v(x, y), for every catalog
+    field and every pair field the package builds.  Closed forms hold it bit
+    for bit.  A convolved field sums its +-r nodes in another order at -x,
+    so it holds to rounding: 1e-12 on the difference u(x) - u(y) that the
+    lift divides by |x - y|^(n/p + s) (the fields here lie in [-1, 1])."""
+    params = validate_params(1, 0.3, 2.0, 0.1)
+    x = rng.normal(size=(300, 1)) * 1.5
+    y = x + rng.normal(size=(300, 1)) * np.geomspace(1e-3, 4.0, 300)[:, None]
+    y[:5] = x[:5]  # the diagonal
+    if kind == "catalog":
+        for spec in CATALOG_SPECS:
+            u = field_from_spec(spec, params)
+            assert np.array_equal(u(-x), u(x)), u.label
+        return
+    for v in _pair_fields(kind, 1):
+        mirrored, vals = v(-x, -y), v(x, y)
+        if kind in ("lift_of_sub_rho", "star_convolve"):
+            quotient = np.abs(x - y)[:, 0] ** (params.n / params.p + params.s)
+            assert np.max(np.abs(mirrored - vals) * quotient) <= 1e-12, v.label
+        else:
+            assert np.array_equal(mirrored, vals), v.label

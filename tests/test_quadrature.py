@@ -309,10 +309,30 @@ def test_pair_oracle_half_grid_agrees(s, p, a):
             assert half == pytest.approx(_two_part_tensor_sum(g, alpha, beta, x_max, 256), rel=1e-12)
 
 
+def _two_sided_sum(f, c, x_max, cells):
+    """The scalar oracle's midpoint sum over both halves of the x grid: the
+    reference for the mirrored half-grid sum."""
+    mids, widths = quadrature._graded_half_grid(x_max, cells)
+    return sum(float(np.sum(f((sgn * mids)[:, None]) * mids ** -c * widths)) for sgn in (1.0, -1.0))
+
+
+@pytest.mark.parametrize("s,p,a", [(0.3, 2.0, 0.1), (0.3, 2.0, 0.0), (0.4, 2.0, 0.05)])
+def test_scalar_oracle_half_grid_agrees(s, p, a):
+    """The criterion-01 fixtures: summing x > 0 and doubling gives the sum
+    over both halves of the grid, since every field is even in n = 1."""
+    params = validate_params(1, s, p, a)
+    for u in (hat_1d_field(), smooth_bump_field(1.0), gaussian_field()):
+        def f(x):
+            return np.abs(u(x)) ** params.p_star
+
+        x_max = resolve_outer_radius(QuadratureSpec(), u.support_radius)
+        half = quadrature._oracle_weighted_1d_once(f, params.b, x_max, 256)
+        assert half == pytest.approx(_two_sided_sum(f, params.b, x_max, 256), rel=1e-14)
+
+
 def test_pair_estimators_evaluate_each_pair_once():
     """Monte Carlo reads g once per sample and sign; the oracle once per
-    point of the (x, z > 0) grid and sign.  Scoring both argument orders
-    apart took twice as many points."""
+    point of the (x > 0, z > 0) grid and sign."""
     params = validate_params(1, 0.3, 2.0, 0.1)
     g = _lift_power(smooth_bump_field(1.0), params)
 
@@ -326,5 +346,18 @@ def test_pair_estimators_evaluate_each_pair_once():
     counted.points = 0
     spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=64)
     oracle_pair_integral_1d(counted, 0.2, 0.0, 11.0, 22.0, spec)
-    # grids of 16, 32 and 64 cells: 2(c+1) points in x, c+1 + c//2+1 in z > 0
-    assert counted.points == sum(2 * 2 * (c + 1) * (c + 1 + c // 2 + 1) for c in (16, 32, 64))
+    # grids of 16, 32 and 64 cells: c+1 points in x > 0, c+1 + c//2+1 in z > 0
+    assert counted.points == sum(2 * (c + 1) * (c + 1 + c // 2 + 1) for c in (16, 32, 64))
+
+
+def test_scalar_oracle_evaluates_half_the_grid():
+    """The scalar oracle reads f once per point of the x > 0 grid: c+1
+    points on a grid of c cells."""
+    def counted(x):
+        counted.points += x.shape[0]
+        return np.exp(-x[..., 0] ** 2)
+
+    counted.points = 0
+    spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=64)
+    oracle_weighted_integral_1d(counted, 0.2, 11.0, spec)
+    assert counted.points == sum(c + 1 for c in (16, 32, 64))
