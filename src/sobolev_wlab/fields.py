@@ -12,12 +12,12 @@ numerically.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ParameterOutOfRange, UnknownCatalogId
 from .params import SpaceParams, row_norm
@@ -29,9 +29,7 @@ _SMOOTHNESS_ORDER = ("smooth", "continuous", "measurable")
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^{n-1} in R^n."""
-    from scipy.special import gamma
-
-    return 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    return 2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def ball_volume(n: int) -> float:
@@ -348,25 +346,18 @@ def multiply_cutoff(u: ScalarField, tau: ScalarField) -> ScalarField:
 
 @dataclass(frozen=True)
 class MollifierProfile:
-    """Radial unit-mass profile supported in B_1, for a fixed dimension n.
+    """Radial mollifier profile supported in B_1, for a fixed dimension n.
 
-    ``radial_profile`` is the *unnormalized* shape g; the normalized density
-    is normalization_constant * g(|x|).
+    ``radial_profile`` is the unnormalized shape g of eta(x) = C g(|x|).
+    ``smoothing.conv_nodes`` divides its discrete weights by their sum,
+    which supplies C: the mass on the nodes is exactly 1.
     """
 
     n: int
     radial_profile: Callable[[np.ndarray], np.ndarray]
-    normalization_constant: float
-
-    def eta_radial(self, r: np.ndarray) -> np.ndarray:
-        return self.normalization_constant * self.radial_profile(np.asarray(r, float))
 
 
 def default_mollifier(n: int) -> MollifierProfile:
-    """Smooth radially decreasing bump exp(-1/(1-r^2)), normalized for R^n."""
-    radial_mass, _ = quad(
-        lambda r: r ** (n - 1) * float(_bump_profile(np.array([r]))[0]), 0.0, 1.0, epsrel=1e-10
-    )
-    return MollifierProfile(
-        n=n, radial_profile=_bump_profile, normalization_constant=1.0 / (sphere_area(n) * radial_mass)
-    )
+    """Smooth radially decreasing bump exp(-1/(1-r^2)) on R^n, as an
+    unnormalized shape; ``conv_nodes`` gives it unit mass."""
+    return MollifierProfile(n=n, radial_profile=_bump_profile)

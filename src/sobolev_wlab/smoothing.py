@@ -46,12 +46,12 @@ def conv_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
     Cached on the profile itself (a frozen dataclass), which the cache keeps
     alive, so a new profile never receives the nodes of a freed one."""
     if n != profile.n:
-        raise ParameterOutOfRange(f"profile normalized for n={profile.n}, requested n={n}")
+        raise ParameterOutOfRange(f"profile built for n={profile.n}, requested n={n}")
     if m < 1:
         raise ParameterOutOfRange(f"convolution grid needs at least 1 radial cell, got {m}")
     # mildly graded radial cells on (0, epsilon], finer toward 0
     r, wr = _graded_half_grid(epsilon, m, floor=1e-6 * epsilon)
-    eta_vals = profile.eta_radial(r / epsilon)  # eps^-n absorbed by normalization below
+    eta_vals = profile.radial_profile(r / epsilon)  # C eps^-n absorbed by normalization below
     if n == 1:
         z = np.concatenate([r, -r])[:, None]
         w = np.concatenate([wr * eta_vals, wr * eta_vals])

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -204,15 +206,15 @@ GOLDEN_RECORDS = {
     "prop-4.1": "43de0286009b9f179a1e6100c2211cbb6d0e5947bc978c6a791b74e7a89de089",
     "prop-4.2": "68aa2fb408fef4b04d3437e4f0c50ba5e8a3b6768d0ae524821fa108113a31fd",
     "lemma-4.3": "377152d0fe6cdb56e2572e87cfaef6b574013772e483f437f30df346d2b61422",
-    "prop-4.4": "e3041f7ce74bd18e7769a0cf68d6aee3dc1c83e5b9d99dfcbbdb2fc38dafe7dc",
-    "prop-4.5": "6202420ff15631c36a07f79a7336377e369ed5ed464b4b3fa6d9eb57e936e21e",
+    "prop-4.4": "e8fed911601a08d4fd33a5af6053d374b2692a3d0bc1bd543a5adc5f6a3e71df",
+    "prop-4.5": "ad79848f9b2ded15c64fd37c7199a52f522e951b1e911e582e0a1f0c7ece5904",
     "lemma-5.1": "a7b77517c2788d1ecc37a5806979c1fe5b6a49058f0dae71d17783711667f515",
-    "eq-6.4": "24f5c77378dff0ee9cafb45294dfd89d22e4fbc6f35de9874d37835f30197809",
-    "lemma-6.1": "9b24bf600f482151cebd25ee3ca4a0cb22a6b53ea947aae5c461a3a17755249c",
-    "theorem-1.1": "b7ef0663645aab7794d28a72c69a1b5d438271b522a6299f1610eebbb1aa96fd",
+    "eq-6.4": "07a29606fb68ceb9948f838cb7d848b1c73da0a5663068194d2fcf3a39359e70",
+    "lemma-6.1": "b88c69a7dec9170810a5a26929d1b55c8a8026b54a3e80e648d1b78e0afa72c5",
+    "theorem-1.1": "f43121168a47799fb06568d505406d5b30f68dcdf386d2c7654345fb0be82a60",
     "sobolev-ineq": "bfcc3b0538ac9963f52eda95f9dc205332a3b53af9924f8ca7691843889f3fbb",
     "norm": "40d67599c77f2b48af33e86fd43fcc0d1959da4d5fc6aec06517de26fa29399f",
-    "approx": "1b86b044e455a4ab9e8faa470bdda164a843e9271a0276fbf9e7bca17d6dc5a0",
+    "approx": "4752a6c215dfea39b0330507cd45c81fcd89d0dec0b767cd9d418b7a77e89e56",
 }
 
 
@@ -222,9 +224,9 @@ GOLDEN_RECORDS_N2 = {
     "prop-4.1": "bb69734e622cf1421331c653d0ed519971718d3a6e7cf062b5ebd38ed8873878",
     "prop-4.2": "cc61ed34f647b1a653d64f8b0d627a2b0cd0356699b46ea0f7d37189e2d3cc44",
     "lemma-4.3": "5a43dc8f51c17d7e661f5b4968b54c8e1cf45553712c495fcac41d569d297d8a",
-    "prop-4.4": "fc8fd84480664e350bd6813d0eb331421dfc916bbb3ea6d481101c6c31980a63",
-    "eq-6.4": "cd2e2ebadf2104bd8853a8619c3be07db7ae79d3c461b2faefb4d4a4d65f8008",
-    "approx": "b4f3a27388207f9af1584bdde953ad13e5a7b64ee41936d0f3e7756108812523",
+    "prop-4.4": "b3707cd8212e3cb9baff9d03a79ce410d2cd17eeba9c27bf3e203513dc2a2303",
+    "eq-6.4": "c0ab5e5d72ab516a156d090a87b276a870b0dc0a57bf0f935e8d23b21ec85a99",
+    "approx": "c74934e471fe112b80d4ea686b0f6a788d8068dba7090d5b08c6b47967310e22",
 }
 
 
@@ -274,3 +276,31 @@ def test_oracle_records_state_no_monte_carlo_budget(sid, grid, tmp_path):
         assert oracle["trials"] is None and mc["trials"] == 6400
     elif sid == "sobolev-ineq":
         assert oracle["trials"] == mc["trials"] == 6  # fields and their dilations
+
+
+NUMPY_ONLY_CHILD = """
+import json
+import sys
+
+from sobolev_wlab.cli import main
+common = ["--s", "0.3", "--p", "2", "--a", "0.1", "--seed", "7", "--samples", "1024",
+          "--conv-grid", "16", "--out", sys.argv[1]]
+runs = (["norm", "--n", "3"], ["approx", "--n", "2"], ["verify", "prop-4.4", "--n", "2"],
+        ["verify", "prop-4.2", "--n", "2", "--trials", "5"])
+codes = [main([*args, *common]) for args in runs]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    """norm, approx and verify (convolved and weight-bound paths) run on
+    numpy alone.  A fresh interpreter, because the tests import scipy."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_CHILD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"codes": [0, 0, 0, 0], "scipy": []}

@@ -31,15 +31,13 @@ def constant_field(c: float) -> ScalarField:
 
 
 def wiggle_mollifier(n: int) -> MollifierProfile:
-    """A non-monotone profile built afresh on every call.  Its constant is
-    the bump's, not its own unit-mass one: conv_nodes normalizes its
-    weights, so the nodes do not depend on it."""
+    """A non-monotone profile built afresh on every call."""
     bump = default_mollifier(n)
 
     def g(r):
         return bump.radial_profile(r) * (1.0 + 0.5 * np.sin(6.0 * np.pi * np.asarray(r, float)))
 
-    return MollifierProfile(n=n, radial_profile=g, normalization_constant=bump.normalization_constant)
+    return MollifierProfile(n=n, radial_profile=g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
