@@ -372,8 +372,12 @@ def run_command(config: RunConfig) -> int:
     if config.command == "sweep":
         opts = config.options
         key = opts["param"]
-        for i, raw in enumerate(opts["values"]):
-            sub = RunConfig(command="norm", statement_id="", options={**opts, key: _parse(key, raw)})
+        subs = [RunConfig(command="norm", statement_id="", options={**opts, key: _parse(key, raw)})
+                for raw in opts["values"]]
+        for sub in subs:  # every point in range before the first run writes a record
+            _space(sub.options)
+            _spec(sub.options)
+        for i, sub in enumerate(subs):
             _write(sub, *_run_norm(sub), f"sweep_{key}_{i}")
         print(f"sweep: wrote {len(opts['values'])} records to {opts['out']}")
         return 0

@@ -4,14 +4,11 @@ deterministic 1-d tensor-product oracle used as ground truth.
 Determinism contract: the sample budget, a multiple of 64, is split into
 64 equal chunks; chunk k draws from an independent Philox stream keyed by
 (seed, k).  Consecutive chunks are evaluated together in groups of at
-most GROUP_POINTS points (BALL_GROUP_POINTS for ball averages; always at
-least one whole chunk), and the chunk means are folded in chunk order.
-Two runs with the same spec therefore return bit-identical estimates, and
-memory stays bounded at any budget.  For a convolved field this holds only
-at fixed GROUP_POINTS and smoothing.CONV_BLOCK: its value at a point is a
-BLAS matrix-vector product ``@ w`` over a block of points, which rounds the
-point's value by its place in the block, so another grouping or block size
-moves such estimates in the last bits.
+most GROUP_POINTS points (always at least one whole chunk), and the chunk
+means are folded in chunk order.  Every integrand, convolved fields
+included (smoothing._mollify), computes a point's value from that point
+alone, so the grouping and smoothing.CONV_BLOCK bound memory without
+moving a bit: two runs with the same spec return bit-identical estimates.
 The reported standard error is the sample standard deviation of the
 chunk means divided by sqrt(64).
 
@@ -61,16 +58,11 @@ from .fields import ball_volume, sphere_area
 from .params import row_norm
 
 N_CHUNKS = 64
-# most points evaluated in one call of an integrand (a group of chunks)
-GROUP_POINTS = 1 << 16
-# ball averages take smaller groups: their largest temporary, (points, 2n)
-# doubles, then stays under the allocator's 128 KiB mmap threshold and is
-# reused from the heap instead of being mapped and faulted in afresh for
-# every group (about 2,200 page faults per 131,072-sample ball average at
-# GROUP_POINTS).  GROUP_POINTS itself stays: a convolved integrand's
-# matrix-vector product rounds by the point's place in its block, so a
-# different grouping changes convolution-based estimates in the last bits.
-BALL_GROUP_POINTS = 1 << 12
+# most points evaluated in one call of an integrand (a group of chunks);
+# small enough that a ball average's largest temporary, (points, 2n)
+# doubles, stays under the allocator's 128 KiB mmap threshold and is reused
+# from the heap instead of being mapped and faulted in afresh every group
+GROUP_POINTS = 1 << 12
 
 METHOD_MONTE_CARLO = "monte_carlo"
 METHOD_TENSOR_ORACLE = "tensor_oracle_1d"
@@ -278,15 +270,15 @@ def _fold_chunks(
     spec: QuadratureSpec,
     draw: Callable[[np.random.Generator, int], tuple],
     evaluate: Callable[..., np.ndarray],
-    group_points: int = GROUP_POINTS,
 ) -> np.ndarray:
     """Chunk means of ``evaluate`` over the 64 chunks, in chunk order.
 
     ``draw(rng, m)`` returns a tuple of arrays of m rows each from a chunk's
     Philox stream.  ``evaluate`` receives the draws of consecutive chunks
-    concatenated, as many as fit in ``group_points`` points (all axes but the
+    concatenated, as many as fit in GROUP_POINTS points (all axes but the
     last of the largest drawn array) and at least one, and returns values
-    whose last axis runs over the rows.
+    whose last axis runs over the rows.  It must compute each row's value
+    from that row alone, so that the grouping moves no bit.
     """
     m = spec.samples // N_CHUNKS
     rng = _chunk_rng(spec.seed, 0)
@@ -295,7 +287,7 @@ def _fold_chunks(
         pending.append(draw(_switch_stream(rng, spec.seed, k), m))
         if k == 0:
             points = max(a.size // a.shape[-1] for a in pending[0])
-            per_group = max(1, group_points // points)
+            per_group = max(1, GROUP_POINTS // points)
         if len(pending) == per_group or k == N_CHUNKS - 1:
             vals = evaluate(*(np.concatenate(parts) for parts in zip(*pending)))
             means.append(vals.reshape(*vals.shape[:-1], len(pending), m).mean(axis=-1))
@@ -437,7 +429,7 @@ def ball_average(
     def evaluate(u, g):
         return integrand(_ball_points(u, g, r)) * ball_volume(n)
 
-    chunk_means = _fold_chunks(spec, draw, evaluate, BALL_GROUP_POINTS)
+    chunk_means = _fold_chunks(spec, draw, evaluate)
     return _combine_chunks(chunk_means, spec.samples, digest)
 
 

@@ -88,7 +88,12 @@ def _mollify(f, points: tuple, epsilon: float, profile: MollifierProfile, conv_g
     """int f(p - z, ...) eta_eps(z) dz at each row p of the arrays in
     ``points``, all of shape (m, n): ``(x,)`` for a scalar field, ``(x, y)``
     for a pair field shifted along the diagonal.  Points are taken in blocks
-    of at most CONV_BLOCK (point, node) pairs, so memory stays bounded."""
+    of at most CONV_BLOCK (point, node) pairs, so memory stays bounded.
+
+    Each point's value is ``np.vecdot`` of its own K shifted values with the
+    weights, a reduction whose rounding does not depend on the other points
+    of its block (a BLAS matrix-vector product's does), so a point's value is
+    the same whatever block or call it is evaluated in."""
     if epsilon <= 0:
         raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
     points = [np.atleast_2d(np.asarray(p, dtype=float)) for p in points]
@@ -98,7 +103,7 @@ def _mollify(f, points: tuple, epsilon: float, profile: MollifierProfile, conv_g
     block = max(1, CONV_BLOCK // len(w))
     for start in range(0, len(out), block):
         shifted = ((p[start : start + block, None, :] - z[None, :, :]).reshape(-1, n) for p in points)
-        out[start : start + block] = f(*shifted).reshape(-1, len(w)) @ w
+        out[start : start + block] = np.vecdot(f(*shifted).reshape(-1, len(w)), w)
     return out
 
 

@@ -166,6 +166,18 @@ def test_sweep_one_record_per_point(tmp_path):
         assert data["config"]["a"] == [0.0, 0.05, 0.1][i]
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--param", "a", "--values", "0.05,5"], "a=5.0 outside"),
+    (["--param", "samples", "--values", "1024,1000"], "multiple of the 64 chunks"),
+], ids=["a", "samples"])
+def test_sweep_checks_every_point_before_the_first_run(args, message, tmp_path, capsys):
+    """An out-of-range sweep point exits 2 and leaves no record, not even
+    those of the points before it."""
+    assert main(["sweep", *args, *BASE, "--samples", "1024", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_writes_csv_and_svg(tmp_path):
     code = main(["verify", "lemma-6.1", *BASE, "--samples", "16000",
                  "--conv-grid", "64", "--ladder", "0.5,0.25,0.1",
@@ -206,15 +218,15 @@ GOLDEN_RECORDS = {
     "prop-4.1": "43de0286009b9f179a1e6100c2211cbb6d0e5947bc978c6a791b74e7a89de089",
     "prop-4.2": "68aa2fb408fef4b04d3437e4f0c50ba5e8a3b6768d0ae524821fa108113a31fd",
     "lemma-4.3": "377152d0fe6cdb56e2572e87cfaef6b574013772e483f437f30df346d2b61422",
-    "prop-4.4": "e8fed911601a08d4fd33a5af6053d374b2692a3d0bc1bd543a5adc5f6a3e71df",
+    "prop-4.4": "7baedd38ea1c0bd84faab480f7eaf77c999ff8d5882446a4cf5a8455837a836e",
     "prop-4.5": "ad79848f9b2ded15c64fd37c7199a52f522e951b1e911e582e0a1f0c7ece5904",
     "lemma-5.1": "a7b77517c2788d1ecc37a5806979c1fe5b6a49058f0dae71d17783711667f515",
-    "eq-6.4": "07a29606fb68ceb9948f838cb7d848b1c73da0a5663068194d2fcf3a39359e70",
-    "lemma-6.1": "b88c69a7dec9170810a5a26929d1b55c8a8026b54a3e80e648d1b78e0afa72c5",
-    "theorem-1.1": "f43121168a47799fb06568d505406d5b30f68dcdf386d2c7654345fb0be82a60",
+    "eq-6.4": "8a7356bbf68f623cd5f6178eb16e1d9f568ffe2d357d71259b83f96113bde5fe",
+    "lemma-6.1": "fa44fcba48df8a25c600874c7b686f07594ff5f7cae13f19890045acf1b5528e",
+    "theorem-1.1": "a4d0939b102564595a770400306c36932a18fc69e58a620f85d1bb841e2a8971",
     "sobolev-ineq": "bfcc3b0538ac9963f52eda95f9dc205332a3b53af9924f8ca7691843889f3fbb",
     "norm": "40d67599c77f2b48af33e86fd43fcc0d1959da4d5fc6aec06517de26fa29399f",
-    "approx": "4752a6c215dfea39b0330507cd45c81fcd89d0dec0b767cd9d418b7a77e89e56",
+    "approx": "88b2fe1acc031010b73ea575cb0d9874b5fc7d512c2cf589dd906c561cd8f684",
 }
 
 
@@ -224,9 +236,9 @@ GOLDEN_RECORDS_N2 = {
     "prop-4.1": "bb69734e622cf1421331c653d0ed519971718d3a6e7cf062b5ebd38ed8873878",
     "prop-4.2": "cc61ed34f647b1a653d64f8b0d627a2b0cd0356699b46ea0f7d37189e2d3cc44",
     "lemma-4.3": "5a43dc8f51c17d7e661f5b4968b54c8e1cf45553712c495fcac41d569d297d8a",
-    "prop-4.4": "b3707cd8212e3cb9baff9d03a79ce410d2cd17eeba9c27bf3e203513dc2a2303",
-    "eq-6.4": "c0ab5e5d72ab516a156d090a87b276a870b0dc0a57bf0f935e8d23b21ec85a99",
-    "approx": "c74934e471fe112b80d4ea686b0f6a788d8068dba7090d5b08c6b47967310e22",
+    "prop-4.4": "c0f3a4db2bb0d39c15230c54ccb158e05f99b34ce87290805aa81e46757171c9",
+    "eq-6.4": "fc69f24342baa1140a5d670b8fca59b70bb2366359c31ca772e9f33931682511",
+    "approx": "582d2655a980a0d71cedc6ce0b7dadbdb0d17b35ade7f1aaceced7a32caa44b6",
 }
 
 

@@ -16,12 +16,16 @@ from sobolev_wlab import (
     gaussian_field,
     hat_1d_field,
     lift_difference_quotient,
+    norm_full,
     oracle_pair_integral_1d,
     oracle_weighted_integral_1d,
+    pipeline_rho,
+    polynomial_tail_field,
     quadrature,
     smooth_bump_field,
     validate_params,
 )
+from sobolev_wlab.fields import default_cutoff, default_mollifier, subtract
 from sobolev_wlab.quadrature import (
     METHOD_TENSOR_ORACLE,
     _NearFarMixture,
@@ -190,7 +194,23 @@ def test_ball_average_independent_of_grouping(monkeypatch, group_points):
         return ball_average(f, 2, 0.7, QuadratureSpec(samples=1 << 17, seed=11))
 
     default = run()
-    monkeypatch.setattr(quadrature, "BALL_GROUP_POINTS", group_points)
+    monkeypatch.setattr(quadrature, "GROUP_POINTS", group_points)
+    assert run() == default
+
+
+@pytest.mark.parametrize("group_points", [1 << 11, 1 << 16])
+def test_convolved_norm_independent_of_grouping(monkeypatch, group_points):
+    """1,024 samples per chunk: two, four (the default) or all 64 chunks in
+    one group give the same norm of u - rho, a convolved field, to the bit."""
+    params = validate_params(1, 0.3, 2.0, 0.1)
+    u = polynomial_tail_field(3.0)
+    rho = pipeline_rho(u, 2.0, 0.1, default_cutoff(), default_mollifier(1), 32)
+
+    def run():
+        return norm_full(subtract(u, rho), params, QuadratureSpec(samples=1 << 16, seed=3))
+
+    default = run()
+    monkeypatch.setattr(quadrature, "GROUP_POINTS", group_points)
     assert run() == default
 
 

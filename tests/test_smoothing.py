@@ -12,6 +12,7 @@ from sobolev_wlab import (
     lift_difference_quotient,
     pipeline_rho,
     smooth_bump_field,
+    smoothing,
     star_convolve,
     truncate,
     validate_params,
@@ -128,3 +129,25 @@ def test_pipeline_rho_support_and_smoothness():
     assert rho.support_radius == pytest.approx(4.25)
     far = np.linspace(4.26, 50.0, 100000)[:, None]
     assert np.all(rho(far) == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["convolve", "star_convolve"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_convolved_point_independent_of_its_block(n, kind, monkeypatch):
+    """A point's convolved value is the same to the bit alone, in a block of
+    257 points, in that block shifted by one point, and in blocks of a single
+    point (CONV_BLOCK below the node count)."""
+    u = smooth_bump_field(1.0)
+    eta = default_mollifier(n)
+    if kind == "convolve":
+        conv = lambda x, y: convolve(u, 0.3, eta, x, 32)  # noqa: E731
+    else:
+        v = lift_difference_quotient(u, validate_params(n, 0.3, 2.0, 0.1))
+        conv = lambda x, y: star_convolve(v, eta, 0.3, x, y, 32)  # noqa: E731
+    x, y = np.random.default_rng(n).uniform(-1.0, 1.0, (2, 258, n))
+    block = conv(x[:257], y[:257])
+    alone = [conv(x[i : i + 1], y[i : i + 1])[0] for i in range(257)]
+    assert block.tolist() == alone
+    assert block[1:].tolist() == conv(x[1:], y[1:])[:-1].tolist()
+    monkeypatch.setattr(smoothing, "CONV_BLOCK", 3)
+    assert conv(x[:257], y[:257]).tolist() == alone
