@@ -375,7 +375,7 @@ def run_command(config: RunConfig) -> int:
         subs = [RunConfig(command="norm", statement_id="", options={**opts, key: _parse(key, raw)})
                 for raw in opts["values"]]
         for sub in subs:  # every point in range before the first run writes a record
-            _space(sub.options)
+            field_from_spec(sub.options["field"], space=_space(sub.options))
             _spec(sub.options)
         for i, sub in enumerate(subs):
             _write(sub, *_run_norm(sub), f"sweep_{key}_{i}")

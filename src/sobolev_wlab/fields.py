@@ -38,10 +38,13 @@ def ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A field on R^n.  In n = 1 every field is even, u(-x) == u(x): the
-    catalog fields are radial, hat_1d is even, and dilation, subtraction,
-    the radial cutoff and convolution with the radial mollifier keep it.
-    The 1-d oracle relies on it to sum over x > 0 only."""
+    """A field on R^n.  Every scalar field is radial, u(Qx) == u(x) for
+    every rotation Q (in n = 1, every field is even, u(-x) == u(x)): the
+    catalog fields are radial, hat_1d is defined in n = 1 only, where it is
+    even, and dilation, subtraction, the radial cutoff and convolution with
+    the radial mollifier keep it.  ``smoothing.convolve`` relies on it to
+    convolve at |x| e_1 on nodes aligned with that axis, and the 1-d oracle
+    to sum over x > 0 only."""
 
     label: str
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -75,13 +78,13 @@ class PairField:
 
 
 def _bump_profile(t: np.ndarray) -> np.ndarray:
-    """exp(-1/(1-t^2)) for |t| < 1, 0 beyond."""
+    """exp(-1/(1-t^2)) for |t| < 1, 0 beyond; exp runs on |t| < 1 only."""
     t = np.asarray(t, dtype=float)
     inside = np.abs(t) < 1.0
-    tt = np.where(inside, t, 0.0)
-    with np.errstate(over="ignore"):
-        vals = np.exp(-1.0 / (1.0 - tt * tt))
-    return np.where(inside, vals, 0.0)
+    out = np.zeros(t.shape)
+    ti = t[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
+    return out
 
 
 def _rougher(a: str, b: str) -> str:
@@ -121,7 +124,11 @@ def smooth_bump_field(R: float = 1.0) -> ScalarField:
     )
 
 
-def hat_1d_field() -> ScalarField:
+def hat_1d_field(space: Optional[SpaceParams] = None) -> ScalarField:
+    """max(0, 1 - |x|) in n = 1; ``space``, when given, must have n = 1."""
+    if space is not None and space.n != 1:
+        raise ParameterOutOfRange(f"hat_1d is only defined in dimension 1, got n={space.n}")
+
     def ev(x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != 1:
             raise ParameterOutOfRange("hat_1d is only defined in dimension 1")
@@ -185,7 +192,7 @@ _CATALOG = {
     "zero": (lambda space: zero_field(), {}),
     "gaussian": (lambda space: gaussian_field(), {}),
     "smooth_bump": (lambda space, R: smooth_bump_field(R), {"R": 1.0}),
-    "hat_1d": (lambda space: hat_1d_field(), {}),
+    "hat_1d": (hat_1d_field, {}),
     "polynomial_tail": (lambda space, gamma: polynomial_tail_field(gamma), {"gamma": None}),
     "singular_spike": (singular_spike_field, {"gamma": None, "R": 1.0}),
 }
@@ -214,7 +221,8 @@ def parse_field_spec(text: str) -> tuple[str, dict]:
 
 
 def make_field(name: str, space: Optional[SpaceParams] = None, **kwargs) -> ScalarField:
-    """Construct a catalog field by id.  ``space`` is required for singular_spike."""
+    """Construct a catalog field by id.  ``space`` is required for
+    singular_spike, and hat_1d refuses one with n != 1."""
     if name not in _CATALOG:
         raise UnknownCatalogId(f"unknown catalog id {name!r} (known: {', '.join(_CATALOG_IDS)})")
     build, known = _CATALOG[name]
@@ -309,15 +317,16 @@ class CutoffProfile:
 
 def default_cutoff() -> CutoffProfile:
     def radial(r: np.ndarray) -> np.ndarray:
+        # exp runs on the shell 1 < r < 2 only; NaN falls in the shell and stays NaN
         r = np.asarray(r, dtype=float)
         lo = r <= 1.0
-        hi = r >= 2.0
-        mid = ~(lo | hi)
-        rr = np.where(mid, r, 1.5)
-        ha = np.exp(-1.0 / (2.0 - rr))
-        hb = np.exp(-1.0 / (rr - 1.0))
-        vals = ha / (ha + hb)
-        return np.where(lo, 1.0, np.where(hi, 0.0, vals))
+        mid = ~(lo | (r >= 2.0))
+        out = np.where(lo, 1.0, 0.0)
+        rm = r[mid]
+        ha = np.exp(-1.0 / (2.0 - rm))
+        hb = np.exp(-1.0 / (rm - 1.0))
+        out[mid] = ha / (ha + hb)
+        return out
 
     return CutoffProfile(radial=radial)
 

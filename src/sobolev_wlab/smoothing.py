@@ -1,12 +1,23 @@
 """Approximation operators: truncation, mollification, diagonal-shift
 convolution, and the cutoff-then-mollify pipeline.
 
-Convolutions are deterministic quadrature (graded radial grid times an
-angular rule), not Monte Carlo: their output is re-integrated by the norm
-estimators, so pointwise noise must be negligible.  The discrete mollifier
-weights are normalized to total mass exactly 1, which makes reproduction
-of constants exact and keeps the unit-mass contract independent of the
-grid resolution.
+Convolutions are deterministic quadrature, not Monte Carlo: their output is
+re-integrated by the norm estimators, so pointwise noise must be negligible.
+The radial rule is Gauss-Legendre: ``conv_grid`` nodes t on (0, eps),
+weighted by t^(n-1) eta(t/eps).  The discrete mollifier weights are
+normalized to total mass exactly 1, which makes reproduction of constants
+exact and keeps the unit-mass contract independent of the grid resolution.
+
+Every scalar field is radial, u(Qx) = u(x) for every rotation Q (the
+``ScalarField`` contract), so ``convolve`` evaluates u * eta_eps at |x| e_1
+on nodes aligned with that axis: the shifts t (mu, sqrt(1 - mu^2), 0, ...)
+with mu = +-1 in n = 1, 16 Gauss-Chebyshev nodes in n = 2 and 16
+Gauss-Legendre nodes in n = 3.  That makes 2, 16 and 16 directions per
+radial node: K = 256, 2,048 and 2,048 nodes at ``conv_grid`` 128, exact for
+radial fields up to the radial rule.  A pair field is not radial in one
+argument, so ``star_convolve`` keeps fixed direction tables on the same
+radial nodes: +-1 in n = 1 (the aligned nodes), 64 angles in n = 2 and
+8 x 16 (mu, phi) directions in n = 3.
 """
 
 from __future__ import annotations
@@ -27,10 +38,40 @@ from .fields import (
     multiply_cutoff,
 )
 from .params import row_norm
-from .quadrature import _graded_half_grid
 
 # most (point, node) pairs evaluated in one call of the convolved field
 CONV_BLOCK = 1 << 20
+
+
+def _aligned_directions(n: int) -> tuple:
+    """Directions (mu, sqrt(1 - mu^2), 0, ...) in R^n and their weights:
+    mu = +-1 in n = 1, 16 Gauss-Chebyshev nodes in n = 2, 16 Gauss-Legendre
+    nodes in n = 3."""
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
+    mu, wmu = (np.cos(np.pi * (np.arange(16) + 0.5) / 16.0), np.ones(16)) if n == 2 else leggauss(16)
+    dirs = np.zeros((16, n))
+    dirs[:, 0], dirs[:, 1] = mu, np.sqrt(1.0 - mu**2)
+    return dirs, wmu
+
+
+def _fixed_directions(n: int) -> tuple:
+    """Directions in R^n and their weights, for a field of any symmetry:
+    +-1 in n = 1, 64 angles in n = 2, 8 Gauss-Legendre mu times 16 angles
+    phi in n = 3."""
+    if n == 1:
+        return _aligned_directions(1)
+    if n == 2:
+        angles = 2.0 * np.pi * (np.arange(64) + 0.5) / 64.0
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1), np.ones(64)
+    mu, wmu = leggauss(8)
+    phi = 2.0 * np.pi * (np.arange(16) + 0.5) / 16.0
+    sin_t = np.sqrt(1.0 - mu**2)
+    dirs = np.stack(
+        [np.outer(sin_t, np.cos(phi)).ravel(), np.outer(sin_t, np.sin(phi)).ravel(), np.repeat(mu, 16)],
+        axis=1,
+    )
+    return dirs, np.repeat(wmu, 16)
 
 
 def truncate(u: ScalarField, j: float, profile: CutoffProfile) -> ScalarField:
@@ -39,66 +80,63 @@ def truncate(u: ScalarField, j: float, profile: CutoffProfile) -> ScalarField:
 
 
 @lru_cache(maxsize=32)
-def conv_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
-    """Quadrature nodes Z (K, n) and weights W (K,) for integration against
-    eta_eps over B_eps, with sum(W) == 1 exactly.
+def _radial_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
+    """Gauss-Legendre nodes t on (0, epsilon) and their weights times
+    t^(n-1) eta(t/epsilon), unnormalized.
 
     Cached on the profile itself (a frozen dataclass), which the cache keeps
     alive, so a new profile never receives the nodes of a freed one."""
+    if epsilon <= 0:
+        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
     if n != profile.n:
         raise ParameterOutOfRange(f"profile built for n={profile.n}, requested n={n}")
+    if n not in (1, 2, 3):
+        raise ParameterOutOfRange(f"deterministic convolution is implemented for n <= 3, got n={n}")
     if m < 1:
-        raise ParameterOutOfRange(f"convolution grid needs at least 1 radial cell, got {m}")
-    # mildly graded radial cells on (0, epsilon], finer toward 0
-    r, wr = _graded_half_grid(epsilon, m, floor=1e-6 * epsilon)
-    eta_vals = profile.radial_profile(r / epsilon)  # C eps^-n absorbed by normalization below
-    if n == 1:
-        z = np.concatenate([r, -r])[:, None]
-        w = np.concatenate([wr * eta_vals, wr * eta_vals])
-    elif n == 2:
-        angles = 2.0 * np.pi * (np.arange(64) + 0.5) / 64.0
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (64, 2)
-        z = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        w = (wr * r * eta_vals)[:, None].repeat(64, axis=1).reshape(-1)
-    elif n == 3:
-        mu, wmu = leggauss(8)
-        phi = 2.0 * np.pi * (np.arange(16) + 0.5) / 16.0
-        sin_t = np.sqrt(1.0 - mu**2)
-        dirs = np.stack(
-            [
-                np.outer(sin_t, np.cos(phi)).ravel(),
-                np.outer(sin_t, np.sin(phi)).ravel(),
-                np.repeat(mu, 16),
-            ],
-            axis=1,
-        )  # (128, 3)
-        wdir = np.repeat(wmu, 16) / 16.0  # angular weights, total 2 over mu x full phi
-        z = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        w = ((wr * r**2 * eta_vals)[:, None] * wdir[None, :]).reshape(-1)
-    else:
-        raise ParameterOutOfRange(
-            f"deterministic convolution is implemented for n <= 3, got n={n}"
-        )
+        raise ParameterOutOfRange(f"convolution grid needs at least 1 radial node, got {m}")
+    s, ws = leggauss(m)
+    t = 0.5 * epsilon * (s + 1.0)
+    return t, 0.5 * epsilon * ws * t ** (n - 1) * profile.radial_profile(t / epsilon)
+
+
+def _nodes(directions: tuple, t: np.ndarray, wt: np.ndarray):
+    """Nodes Z (d m, n), direction-major, and weights W with sum(W) == 1."""
+    dirs, wdir = directions
+    z = (dirs[:, None, :] * t[None, :, None]).reshape(-1, dirs.shape[1])
+    w = np.outer(wdir, wt).ravel()
     w = w / np.sum(w)  # exact unit mass
     z.flags.writeable = w.flags.writeable = False  # shared by every caller
     return z, w
 
 
-def _mollify(f, points: tuple, epsilon: float, profile: MollifierProfile, conv_grid: int) -> np.ndarray:
-    """int f(p - z, ...) eta_eps(z) dz at each row p of the arrays in
-    ``points``, all of shape (m, n): ``(x,)`` for a scalar field, ``(x, y)``
-    for a pair field shifted along the diagonal.  Points are taken in blocks
-    of at most CONV_BLOCK (point, node) pairs, so memory stays bounded.
+@lru_cache(maxsize=32)
+def conv_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
+    """Quadrature nodes Z (K, n) and weights W (K,) for integrating a radial
+    field against eta_eps around a point on the e_1 axis, with sum(W) == 1
+    exactly: the m radial nodes along each direction aligned with e_1."""
+    t, wt = _radial_nodes(profile, epsilon, n, m)
+    return _nodes(_aligned_directions(n), t, wt)
+
+
+@lru_cache(maxsize=32)
+def _star_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
+    """The same radial nodes along the fixed direction tables, for any field."""
+    t, wt = _radial_nodes(profile, epsilon, n, m)
+    return _nodes(_fixed_directions(n), t, wt)
+
+
+def _mollify(f, points: tuple, nodes: tuple) -> np.ndarray:
+    """sum_k W_k f(p - Z_k, ...) at each row p of the arrays in ``points``,
+    all of shape (m, n): ``(x,)`` for a scalar field, ``(x, y)`` for a pair
+    field shifted along the diagonal.  Points are taken in blocks of at most
+    CONV_BLOCK (point, node) pairs, so memory stays bounded.
 
     Each point's value is ``np.vecdot`` of its own K shifted values with the
     weights, a reduction whose rounding does not depend on the other points
     of its block (a BLAS matrix-vector product's does), so a point's value is
     the same whatever block or call it is evaluated in."""
-    if epsilon <= 0:
-        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
-    points = [np.atleast_2d(np.asarray(p, dtype=float)) for p in points]
-    n = points[0].shape[-1]
-    z, w = conv_nodes(profile, epsilon, n, conv_grid)
+    z, w = nodes
+    n = z.shape[1]
     out = np.empty(points[0].shape[0])
     block = max(1, CONV_BLOCK // len(w))
     for start in range(0, len(out), block):
@@ -114,13 +152,18 @@ def convolve(
     x: np.ndarray,
     conv_grid: int,
 ) -> np.ndarray:
-    """(u * eta_eps)(x) for an array of points x of shape (m, n).
+    """(u * eta_eps)(x) for an array of points x of shape (m, n), computed at
+    |x| e_1 on the aligned nodes of ``conv_nodes``: u must be radial.
 
     Exact 0 whenever dist(x, supp u) > eps (short-circuited by radius)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    nodes = conv_nodes(profile, epsilon, x.shape[-1], conv_grid)
+    r = row_norm(x)
     out = np.zeros(x.shape[0])
-    active = row_norm(x) <= u.support_radius + epsilon
-    out[active] = _mollify(u, (x[active],), epsilon, profile, conv_grid)
+    active = r <= u.support_radius + epsilon
+    on_axis = np.zeros((np.count_nonzero(active), x.shape[-1]))
+    on_axis[:, 0] = r[active]
+    out[active] = _mollify(u, (on_axis,), nodes)
     return out
 
 
@@ -150,7 +193,8 @@ def star_convolve(
     conv_grid: int,
 ) -> np.ndarray:
     """Diagonal-shift convolution: int v(x - z, y - z) eta_eps(z) dz."""
-    return _mollify(v, (x, y), epsilon, profile, conv_grid)
+    x, y = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
+    return _mollify(v, (x, y), _star_nodes(profile, epsilon, x.shape[-1], conv_grid))
 
 
 def star_convolve_field(

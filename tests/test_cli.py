@@ -169,10 +169,12 @@ def test_sweep_one_record_per_point(tmp_path):
 @pytest.mark.parametrize("args,message", [
     (["--param", "a", "--values", "0.05,5"], "a=5.0 outside"),
     (["--param", "samples", "--values", "1024,1000"], "multiple of the 64 chunks"),
-], ids=["a", "samples"])
+    (["--param", "n", "--values", "1,2", "--field", "hat_1d"], "hat_1d is only defined in dimension 1"),
+], ids=["a", "samples", "field_dimension"])
 def test_sweep_checks_every_point_before_the_first_run(args, message, tmp_path, capsys):
-    """An out-of-range sweep point exits 2 and leaves no record, not even
-    those of the points before it."""
+    """An out-of-range sweep point, or one whose field is not defined at its
+    dimension, exits 2 and leaves no record, not even those of the points
+    before it."""
     assert main(["sweep", *args, *BASE, "--samples", "1024", "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -218,15 +220,15 @@ GOLDEN_RECORDS = {
     "prop-4.1": "43de0286009b9f179a1e6100c2211cbb6d0e5947bc978c6a791b74e7a89de089",
     "prop-4.2": "68aa2fb408fef4b04d3437e4f0c50ba5e8a3b6768d0ae524821fa108113a31fd",
     "lemma-4.3": "377152d0fe6cdb56e2572e87cfaef6b574013772e483f437f30df346d2b61422",
-    "prop-4.4": "7baedd38ea1c0bd84faab480f7eaf77c999ff8d5882446a4cf5a8455837a836e",
-    "prop-4.5": "ad79848f9b2ded15c64fd37c7199a52f522e951b1e911e582e0a1f0c7ece5904",
+    "prop-4.4": "c9f82725686919e167b243462dac3faa2735ae87032d2829f59371676df9e4a0",
+    "prop-4.5": "54544c4ecb59de52880a72849638cfb3f74176c00640e6b586795f83cae0a73d",
     "lemma-5.1": "a7b77517c2788d1ecc37a5806979c1fe5b6a49058f0dae71d17783711667f515",
-    "eq-6.4": "8a7356bbf68f623cd5f6178eb16e1d9f568ffe2d357d71259b83f96113bde5fe",
-    "lemma-6.1": "fa44fcba48df8a25c600874c7b686f07594ff5f7cae13f19890045acf1b5528e",
-    "theorem-1.1": "a4d0939b102564595a770400306c36932a18fc69e58a620f85d1bb841e2a8971",
+    "eq-6.4": "78313367f5e6d27beea4e2ddb705a4a825df1145114b0b0261452bbd316db0f8",
+    "lemma-6.1": "91a68b7eff1798f5a6a32592d39f18b24ad148c1b55588d27eed389c2d5a3a5e",
+    "theorem-1.1": "708eecc7ca36ca0513585b710b80513e64754dac784c93b20fd72b4e25014ef8",
     "sobolev-ineq": "bfcc3b0538ac9963f52eda95f9dc205332a3b53af9924f8ca7691843889f3fbb",
     "norm": "40d67599c77f2b48af33e86fd43fcc0d1959da4d5fc6aec06517de26fa29399f",
-    "approx": "88b2fe1acc031010b73ea575cb0d9874b5fc7d512c2cf589dd906c561cd8f684",
+    "approx": "191731f11f7ed8bea595ba035f27668707c401fd8c73b7e0354417072fa2049d",
 }
 
 
@@ -236,9 +238,9 @@ GOLDEN_RECORDS_N2 = {
     "prop-4.1": "bb69734e622cf1421331c653d0ed519971718d3a6e7cf062b5ebd38ed8873878",
     "prop-4.2": "cc61ed34f647b1a653d64f8b0d627a2b0cd0356699b46ea0f7d37189e2d3cc44",
     "lemma-4.3": "5a43dc8f51c17d7e661f5b4968b54c8e1cf45553712c495fcac41d569d297d8a",
-    "prop-4.4": "c0f3a4db2bb0d39c15230c54ccb158e05f99b34ce87290805aa81e46757171c9",
-    "eq-6.4": "fc69f24342baa1140a5d670b8fca59b70bb2366359c31ca772e9f33931682511",
-    "approx": "582d2655a980a0d71cedc6ce0b7dadbdb0d17b35ade7f1aaceced7a32caa44b6",
+    "prop-4.4": "6202f461cdf0c3b6e35f7e4354919d501cf33e8493df117a2d1d55aa7e3cae35",
+    "eq-6.4": "9e6e005101e37d3750ce82be6c193112fb285bf264fbbfdd4a6b3059a91feab7",
+    "approx": "eb0ab8ff0e31f509d46c4c795f3cb114e3944b99bbb0af60f29fbf8a114e8db2",
 }
 
 

@@ -13,6 +13,7 @@ from sobolev_wlab import (
     ScalarField,
     UnknownCatalogId,
     clip_to_level,
+    convolve_field,
     dilate,
     field_from_spec,
     gaussian_field,
@@ -24,11 +25,13 @@ from sobolev_wlab import (
     singular_spike_field,
     smooth_bump_field,
     star_convolve_field,
+    truncate,
     validate_params,
     zero_field,
 )
 from sobolev_wlab.fields import (
     _CATALOG_IDS,
+    _bump_profile,
     ball_volume,
     cutoff_tau_j,
     default_cutoff,
@@ -217,3 +220,77 @@ def test_fields_are_even_in_1d(kind, rng):
             assert np.max(np.abs(mirrored - vals) * quotient) <= 1e-12, v.label
         else:
             assert np.array_equal(mirrored, vals), v.label
+
+
+def _random_rotation(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scalar_fields_are_radial(n, rng):
+    """The ScalarField contract that lets convolve work at |x| e_1:
+    u(Qx) == u(x) for every rotation Q, for every catalog field and every
+    scalar field operation, to rounding (the row norm of Qx rounds apart
+    from that of x)."""
+    params = validate_params(n, 0.3, 2.0, 0.1)
+    with pytest.raises(ParameterOutOfRange, match="only defined in dimension 1"):
+        field_from_spec("hat_1d", params)
+    eta, cutoff = default_mollifier(n), default_cutoff()
+    us = [field_from_spec(spec, params) for spec in CATALOG_SPECS if spec != "hat_1d"]
+    us += [
+        dilate(gaussian_field(), 2.0),
+        subtract(gaussian_field(), smooth_bump_field(1.5)),
+        truncate(polynomial_tail_field(3.0), 1.0, cutoff),
+        convolve_field(smooth_bump_field(1.5), 0.5, eta, 16),
+        pipeline_rho(gaussian_field(), 1.0, 0.5, cutoff, eta, 16),
+    ]
+    x = rng.normal(size=(300, n)) * 1.5
+    for _ in range(3):
+        q = _random_rotation(rng, n)
+        for u in us:
+            vals = u(x)
+            assert np.max(np.abs(u(x @ q.T) - vals)) <= 1e-12 * np.max(np.abs(vals)), u.label
+
+
+def _bump_reference(t):
+    """The bump kernel as it was first written: exp on every entry."""
+    t = np.asarray(t, dtype=float)
+    inside = np.abs(t) < 1.0
+    tt = np.where(inside, t, 0.0)
+    with np.errstate(over="ignore"):
+        vals = np.exp(-1.0 / (1.0 - tt * tt))
+    return np.where(inside, vals, 0.0)
+
+
+def _cutoff_reference(r):
+    """The cutoff kernel as it was first written: both exps on every entry."""
+    r = np.asarray(r, dtype=float)
+    lo = r <= 1.0
+    hi = r >= 2.0
+    mid = ~(lo | hi)
+    rr = np.where(mid, r, 1.5)
+    ha = np.exp(-1.0 / (2.0 - rr))
+    hb = np.exp(-1.0 / (rr - 1.0))
+    return np.where(lo, 1.0, np.where(hi, 0.0, ha / (ha + hb)))
+
+
+@pytest.mark.parametrize("kernel,reference", [
+    (_bump_profile, _bump_reference),
+    (default_cutoff().radial, _cutoff_reference),
+], ids=["bump", "cutoff"])
+def test_kernels_skip_constant_regions_bit_for_bit(kernel, reference, rng):
+    """The bump and the cutoff run exp only where they are not constant;
+    their values are those of the formulas on every entry, to the bit,
+    NaN included."""
+    edges = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf, np.nan]
+    edges += [np.nextafter(e, d) for e in (1.0, -1.0, 2.0) for d in (-np.inf, np.inf)]
+    t = np.concatenate([rng.uniform(-3.0, 3.0, 10_000), edges])
+    for x in (t, t.reshape(-1, 5)):
+        assert np.array_equal(kernel(x), reference(x), equal_nan=True)
+    for e in edges:
+        assert np.array_equal(kernel(e), reference(e), equal_nan=True)
+        assert np.shape(kernel(e)) == ()

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from sobolev_wlab import (
     hat_1d_field,
     lift_difference_quotient,
     pipeline_rho,
+    polynomial_tail_field,
     smooth_bump_field,
     smoothing,
     star_convolve,
@@ -69,6 +72,86 @@ def test_conv_nodes_dimension_guard():
         conv_nodes(default_mollifier(2), 0.5, 1, 128)
 
 
+def _reference_convolution(u: ScalarField, n: int, epsilon: float, r: np.ndarray) -> np.ndarray:
+    """(u * eta_eps)(r e_1) by adaptive scipy quadrature of the radial
+    reduction: the mean of u over each sphere of radius t around r e_1 (an
+    integral over the angle theta in n = 2, over mu = cos(theta) in n = 3),
+    integrated against t^(n-1) eta(t/eps) dt and divided by the mass."""
+    from scipy.integrate import quad_vec
+
+    def on_axis(rho):
+        x = np.zeros((len(rho), n))
+        x[:, 0] = rho
+        return u(x)
+
+    def dist(t, mu):
+        return np.sqrt(np.maximum(r * r + t * t - 2.0 * r * t * mu, 0.0))
+
+    tol = {"epsabs": 0.0, "epsrel": 1e-12}
+
+    def sphere_mean(t):
+        if n == 1:
+            return (on_axis(np.abs(r - t)) + on_axis(r + t)) / 2.0
+        if n == 2:
+            return quad_vec(lambda th: on_axis(dist(t, np.cos(th))), 0.0, np.pi, **tol)[0] / np.pi
+        return quad_vec(lambda mu: on_axis(dist(t, mu)), -1.0, 1.0, **tol)[0] / 2.0
+
+    eta = default_mollifier(n).radial_profile
+    mass = quad_vec(lambda t: t ** (n - 1) * eta(t / epsilon), 0.0, epsilon, **tol)[0]
+    return quad_vec(lambda t: t ** (n - 1) * eta(t / epsilon) * sphere_mean(t), 0.0, epsilon, **tol)[0] / mass
+
+
+ACCURACY_FIELDS = [smooth_bump_field(1.0), gaussian_field(), polynomial_tail_field(3.0)]
+ACCURACY_FIELDS += [truncate(u, 1.0, default_cutoff()) for u in ACCURACY_FIELDS]
+
+
+ACCURACY_RADII = np.linspace(0.0, 2.3, 8)
+
+
+@lru_cache(maxsize=None)
+def _references(n: int) -> tuple:
+    return tuple(_reference_convolution(u, n, 0.1, ACCURACY_RADII) for u in ACCURACY_FIELDS)
+
+
+def _max_rel_error(n: int, nodes=None) -> float:
+    """Largest error of convolve at the radii ACCURACY_RADII, in random
+    directions, over the fields of ACCURACY_FIELDS, each relative to the
+    field's largest reference value; ``nodes`` replaces conv_nodes."""
+    dirs = np.random.default_rng(n).normal(size=(len(ACCURACY_RADII), n))
+    x = ACCURACY_RADII[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    worst = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        if nodes is not None:
+            mp.setattr(smoothing, "conv_nodes", nodes)
+        for u, ref in zip(ACCURACY_FIELDS, _references(n)):
+            err = np.abs(convolve(u, 0.1, default_mollifier(n), x, 128) - ref)
+            worst = max(worst, float(np.max(err) / np.max(np.abs(ref))))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_convolution_matches_adaptive_reference(n):
+    """At conv_grid 128 and eps = 0.1 the Gauss radial rule on the aligned
+    directions convolves the smooth fields and their tau_1-truncations to
+    within 1e-9 of an independent reference."""
+    assert _max_rel_error(n) < 1e-9
+
+
+@pytest.mark.parametrize("fault,n", [("off_centre", 1), ("off_centre", 2), ("off_centre", 3),
+                                     ("no_jacobian", 2), ("no_jacobian", 3)])
+def test_convolution_accuracy_check_can_fail(fault, n):
+    """Negative control: nodes shifted off centre by eps/100, or weights
+    without the t^(n-1) Jacobian, fail the accuracy check."""
+    def faulty_nodes(profile, epsilon, n, m):
+        if fault == "off_centre":
+            z, w = conv_nodes(profile, epsilon, n, m)
+            return z + np.eye(n)[0] * epsilon / 100.0, w
+        t, wt = smoothing._radial_nodes(profile, epsilon, n, m)
+        return smoothing._nodes(smoothing._aligned_directions(n), t, wt / t ** (n - 1))
+
+    assert _max_rel_error(n, faulty_nodes) > 1e-6
+
+
 def test_constant_reproduction_exact(rng):
     c = constant_field(3.25)
     x = rng.normal(size=(40, 1))
@@ -121,8 +204,6 @@ def test_truncation_identity_inside(rng):
 
 
 def test_pipeline_rho_support_and_smoothness():
-    from sobolev_wlab import polynomial_tail_field
-
     u = polynomial_tail_field(3.0)
     rho = pipeline_rho(u, 2.0, 0.25, default_cutoff(), default_mollifier(1), 96)
     assert rho.smoothness == "smooth"
