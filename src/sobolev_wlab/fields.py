@@ -1,8 +1,10 @@
 """Closed-form test fields, cutoff and mollifier profiles, and field algebra.
 
-All scalar evaluators are vectorized: they take an array of shape (m, n)
-and return an array of shape (m,).  Pair evaluators take two such arrays
-(the x and y blocks) and return (m,).  Besides its evaluator a field
+All evaluators are vectorized over every axis but the last.  A scalar
+field takes points of shape (..., n) and returns values of shape (...).  A
+pair field takes points x and y whose shapes broadcast against each other
+and returns values of their broadcast leading shape, so a point shared by
+many pairs is passed, and read, once.  Besides its evaluator a field
 carries only what the program reads: its support radius, which sets the
 sampling and quadrature radii and the convolution short-circuit, and for a
 scalar field its smoothness class, which the finiteness check requires and
@@ -38,7 +40,10 @@ def ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A field on R^n.  Every scalar field is radial, u(Qx) == u(x) for
+    """A field on R^n, evaluated at points of shape (..., n) with values of
+    shape (...), each point's value computed from that point alone.
+
+    Every scalar field is radial, u(Qx) == u(x) for
     every rotation Q (in n = 1, every field is even, u(-x) == u(x)): the
     catalog fields are radial, hat_1d is defined in n = 1 only, where it is
     even, and dilation, subtraction, the radial cutoff and convolution with
@@ -57,7 +62,14 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class PairField:
-    """A field on R^n x R^n that is antisymmetric bit for bit:
+    """A field on R^n x R^n, evaluated at points x and y whose shapes
+    broadcast against each other, with values of the broadcast leading
+    shape: x of shape (m, 1, n) against y of shape (m, k, n) gives (m, k),
+    bit for bit the values of the (m k, n) call on x repeated.  The
+    estimators rely on it to pass a point shared by many pairs once, so a
+    lift reads u there once.
+
+    Every pair field is antisymmetric bit for bit:
     v(y, x) == -v(x, y).  The norms rely on it to score each unordered
     pair once.  The lift has it because IEEE subtraction rounds a - b and
     b - a to exact negatives, and pair subtraction, clipping and

@@ -20,6 +20,13 @@ arithmetic).  The oracle sums its terms block by block over the z grid
 (blocks of at most 2^22 grid points), so its value depends at rounding
 level on that blocking and on the order of the terms.
 
+Broadcast contract: a pair integrand takes points x and y whose shapes
+broadcast against each other, (..., n), and returns values of their
+broadcast leading shape, as every PairField does.  The pair estimators pass
+a point shared by many pairs once: Monte Carlo evaluates g(x, [x + z, x - z])
+in one call, and the oracle g(u, u +- z) with u of shape (m, 1, 1) against
+(m, k, 1).  So the lift of a field reads u(x) once for all of them.
+
 Reflection contract: the 1-d oracle requires integrands that are even,
 f(-x) == f(x) and g(-x, -y) == g(x, y), as the powers of every n = 1
 field the package builds are (ScalarField, PairField).  Its weights
@@ -361,6 +368,10 @@ def estimate_pair_integral_singular(
     is s*p shifted down by any negative weight exponent so the
     importance weights stay bounded.  By the symmetry g is evaluated once
     per sign and serves both argument orders.
+
+    g must broadcast its arguments: it is called once per group as
+    g(x, ys), x of shape (m, n) and ys = [x + z, x - z] of shape (2, m, n),
+    and returns shape (2, m), so x is read once for both signs.
     """
     R = resolve_outer_radius(spec, x_support_radius)
     # the balance heuristic below scores each sample under both argument
@@ -392,16 +403,17 @@ def estimate_pair_integral_singular(
         # up on the strip where one variable is far out and the other sits
         # in the support (unbounded variance)
         wx_alpha = rx ** (-alpha)
-        wx_beta = rx ** (-beta)
+        wx_beta = wx_alpha if beta == alpha else rx ** (-beta)
+        # the antithetic pair in z, y = x + z and x - z, in one call of g:
+        # x broadcasts against both, so g reads it once for the two
+        ys = np.stack([x + sgn * z for sgn in (1.0, -1.0)])
         vals = 0.0
-        for sgn in (1.0, -1.0):  # antithetic pair in z
-            y = x + sgn * z
+        for y, g in zip(ys, pair_integrand(x, ys)):
             ry = row_norm(y)
             ry_safe = np.where(ry > 0.0, ry, 1.0)
             qsum = qz * (qx + mix_x.density(ry))
             wy_alpha = np.where(ry > 0.0, ry_safe ** (-alpha), 0.0)
-            wy_beta = np.where(ry > 0.0, ry_safe ** (-beta), 0.0)
-            g = pair_integrand(x, y)
+            wy_beta = wy_alpha if beta == alpha else np.where(ry > 0.0, ry_safe ** (-beta), 0.0)
             both = np.where(g != 0.0, g * wx_alpha * wy_beta + g * wy_alpha * wx_beta, 0.0)
             vals = vals + 0.5 * both / qsum
         return vals
@@ -525,24 +537,25 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
     w1 = 2.0 * u ** (-alpha) * uw
     w2 = 2.0 * u ** (-beta) * uw
 
-    def weighted(vals, t, exponent):
-        return vals * np.maximum(np.abs(t), 1e-300) ** (-exponent)
+    def weighted(vals, abs_t, exponent):
+        return vals * np.maximum(abs_t, 1e-300) ** (-exponent)
 
     total = 0.0
     block = max(1, (1 << 22) // m)
     for start in range(0, len(z), block):
         zb = z[start : start + block]
         wzb = wz[start : start + block]
-        k = len(zb)
-        ub = np.broadcast_to(u[:, None], (m, k)).reshape(-1, 1)
         for sgn in (1.0, -1.0):
             t = u[:, None] + sgn * zb[None, :]
-            vals = g(ub, t.reshape(-1, 1)).reshape(m, k)
+            abs_t = np.abs(t)
+            # u (m, 1, 1) broadcasts against t (m, k, 1): g reads each u once
+            vals = g(u[:, None, None], t[:, :, None])
             # part 1: x = u bounded, y = t anywhere
-            total += float(w1 @ weighted(vals, t, beta) @ wzb)
+            part1 = weighted(vals, abs_t, beta)
+            total += float(w1 @ part1 @ wzb)
             # part 2: y = u bounded, x = t restricted to |x| > x_max
-            outside = np.where(np.abs(t) > x_max, weighted(vals, t, alpha), 0.0)
-            total += float(w2 @ outside @ wzb)
+            part2 = part1 if alpha == beta else weighted(vals, abs_t, alpha)
+            total += float(w2 @ np.where(abs_t > x_max, part2, 0.0) @ wzb)
     return total
 
 
@@ -559,7 +572,10 @@ def oracle_pair_integral_1d(
     in n = 1 for a symmetric g, g(y, x) == g(x, y), on the (x, z) plane
     with y = x + z and graded grids toward 0, on the spec's grid.  g must
     also be even, g(-x, -y) == g(x, y): the bounded variable runs over
-    x > 0 only and the sum is doubled."""
+    x > 0 only and the sum is doubled.  g must broadcast its arguments: it
+    is called as g(u, t) with the bounded points u of shape (m, 1, 1) and
+    t = u +- z of shape (m, k, 1), and returns shape (m, k), so each u is
+    read once per sign and block of k z nodes, not once per node."""
     coarse, mid, fine = _refine(
         lambda cells: _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells), spec.grid_points
     )

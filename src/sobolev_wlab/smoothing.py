@@ -152,14 +152,15 @@ def convolve(
     x: np.ndarray,
     conv_grid: int,
 ) -> np.ndarray:
-    """(u * eta_eps)(x) for an array of points x of shape (m, n), computed at
-    |x| e_1 on the aligned nodes of ``conv_nodes``: u must be radial.
+    """(u * eta_eps)(x) for an array of points x of shape (..., n), of shape
+    (...), computed at |x| e_1 on the aligned nodes of ``conv_nodes``: u must
+    be radial.
 
     Exact 0 whenever dist(x, supp u) > eps (short-circuited by radius)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     nodes = conv_nodes(profile, epsilon, x.shape[-1], conv_grid)
     r = row_norm(x)
-    out = np.zeros(x.shape[0])
+    out = np.zeros(r.shape)
     active = r <= u.support_radius + epsilon
     on_axis = np.zeros((np.count_nonzero(active), x.shape[-1]))
     on_axis[:, 0] = r[active]
@@ -192,9 +193,12 @@ def star_convolve(
     y: np.ndarray,
     conv_grid: int,
 ) -> np.ndarray:
-    """Diagonal-shift convolution: int v(x - z, y - z) eta_eps(z) dz."""
-    x, y = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
-    return _mollify(v, (x, y), _star_nodes(profile, epsilon, x.shape[-1], conv_grid))
+    """Diagonal-shift convolution: int v(x - z, y - z) eta_eps(z) dz, for
+    points x and y whose shapes broadcast to (..., n), of shape (...)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    n = x.shape[-1]
+    nodes = _star_nodes(profile, epsilon, n, conv_grid)
+    return _mollify(v, (x.reshape(-1, n), y.reshape(-1, n)), nodes).reshape(x.shape[:-1])
 
 
 def star_convolve_field(

@@ -230,24 +230,53 @@ def _random_rotation(rng, n):
     return q
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_scalar_fields_are_radial(n, rng):
-    """The ScalarField contract that lets convolve work at |x| e_1:
-    u(Qx) == u(x) for every rotation Q, for every catalog field and every
-    scalar field operation, to rounding (the row norm of Qx rounds apart
-    from that of x)."""
+def _scalar_fields(n):
+    """Every catalog field defined in dimension n, and every scalar field
+    operation."""
     params = validate_params(n, 0.3, 2.0, 0.1)
-    with pytest.raises(ParameterOutOfRange, match="only defined in dimension 1"):
-        field_from_spec("hat_1d", params)
     eta, cutoff = default_mollifier(n), default_cutoff()
-    us = [field_from_spec(spec, params) for spec in CATALOG_SPECS if spec != "hat_1d"]
-    us += [
+    us = [field_from_spec(spec, params) for spec in CATALOG_SPECS if n == 1 or spec != "hat_1d"]
+    return us + [
         dilate(gaussian_field(), 2.0),
         subtract(gaussian_field(), smooth_bump_field(1.5)),
         truncate(polynomial_tail_field(3.0), 1.0, cutoff),
         convolve_field(smooth_bump_field(1.5), 0.5, eta, 16),
         pipeline_rho(gaussian_field(), 1.0, 0.5, cutoff, eta, 16),
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fields_broadcast_their_points(n, rng):
+    """The evaluation contract that lets the estimators pass a shared point
+    once: a scalar field maps (..., n) to (...), and a pair field maps x of
+    shape (m, 1, n) against y of shape (m, k, n), in either order, to
+    (m, k).  Each gives, bit for bit, the values of the flat (m k, n) call,
+    and a scalar field maps a single point of shape (n,) to a value of
+    shape () equal to its 1-row value."""
+    m, k = 30, 5
+    x = rng.normal(size=(m, 1, n)) * 1.5
+    y = x + rng.normal(size=(m, k, n)) * np.geomspace(1e-3, 4.0, k)[:, None]
+    flat_x, flat_y = np.repeat(x, k, axis=1).reshape(-1, n), y.reshape(-1, n)
+    for u in _scalar_fields(n):
+        assert np.array_equal(u(y), u(flat_y).reshape(m, k)), u.label
+        assert np.array_equal(u(x), u(x[:, 0]).reshape(m, 1)), u.label
+        single = u(x[0, 0])
+        assert np.shape(single) == () and single == u(x[0])[0], u.label
+    for kind in ("lift", "lift_of_sub_rho", "clip", "pair_subtract", "star_convolve"):
+        for v in _pair_fields(kind, n):
+            assert np.array_equal(v(x, y), v(flat_x, flat_y).reshape(m, k)), v.label
+            assert np.array_equal(v(y, x), v(flat_y, flat_x).reshape(m, k)), v.label
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scalar_fields_are_radial(n, rng):
+    """The ScalarField contract that lets convolve work at |x| e_1:
+    u(Qx) == u(x) for every rotation Q, for every catalog field and every
+    scalar field operation, to rounding (the row norm of Qx rounds apart
+    from that of x)."""
+    with pytest.raises(ParameterOutOfRange, match="only defined in dimension 1"):
+        field_from_spec("hat_1d", validate_params(n, 0.3, 2.0, 0.1))
+    us = _scalar_fields(n)
     x = rng.normal(size=(300, n)) * 1.5
     for _ in range(3):
         q = _random_rotation(rng, n)

@@ -10,6 +10,7 @@ from sobolev_wlab import (
     OracleUnavailable,
     ParameterOutOfRange,
     QuadratureSpec,
+    ScalarField,
     ball_average,
     estimate_pair_integral_singular,
     estimate_weighted_integral_Rn,
@@ -22,6 +23,7 @@ from sobolev_wlab import (
     pipeline_rho,
     polynomial_tail_field,
     quadrature,
+    seminorm_wspa,
     smooth_bump_field,
     validate_params,
 )
@@ -352,12 +354,14 @@ def test_scalar_oracle_half_grid_agrees(s, p, a):
 
 def test_pair_estimators_evaluate_each_pair_once():
     """Monte Carlo reads g once per sample and sign; the oracle once per
-    point of the (x > 0, z > 0) grid and sign."""
+    point of the (x > 0, z > 0) grid and sign.  g broadcasts its
+    arguments, so a call scores as many pairs as their broadcast shape
+    holds points."""
     params = validate_params(1, 0.3, 2.0, 0.1)
     g = _lift_power(smooth_bump_field(1.0), params)
 
     def counted(x, y):
-        counted.points += x.shape[0]
+        counted.points += int(np.prod(np.broadcast_shapes(x.shape, y.shape)[:-1]))
         return g(x, y)
 
     counted.points = 0
@@ -368,6 +372,30 @@ def test_pair_estimators_evaluate_each_pair_once():
     oracle_pair_integral_1d(counted, 0.2, 0.0, 11.0, 22.0, spec)
     # grids of 16, 32 and 64 cells: c+1 points in x > 0, c+1 + c//2+1 in z > 0
     assert counted.points == sum(2 * (c + 1) * (c + 1 + c // 2 + 1) for c in (16, 32, 64))
+
+
+def _counting(u):
+    """u with an evaluator that counts the points it is given."""
+    def evaluate(x):
+        evaluate.points += int(np.prod(x.shape[:-1]))
+        return u(x)
+
+    evaluate.points = 0
+    return ScalarField(u.label, evaluate, u.support_radius, u.smoothness), evaluate
+
+
+def test_pair_estimators_read_each_distinct_point_once():
+    """Under the lift, a Monte Carlo sample reads u at its 3 distinct points
+    x, x + z and x - z, and the oracle reads each bounded point u once per
+    sign and z block besides its k partners u +- z."""
+    params = validate_params(1, 0.3, 2.0, 0.1)
+    u, reads = _counting(smooth_bump_field(1.0))
+    seminorm_wspa(u, params, QuadratureSpec(samples=6400, seed=5))
+    assert reads.points == 3 * 6400
+    reads.points = 0
+    seminorm_wspa(u, params, QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=64))
+    # grids of 16, 32 and 64 cells, each one z block of k = c+1 + c//2+1 nodes
+    assert reads.points == sum(2 * (c + 1) * (1 + c + 1 + c // 2 + 1) for c in (16, 32, 64))
 
 
 def test_scalar_oracle_evaluates_half_the_grid():
