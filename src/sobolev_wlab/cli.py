@@ -52,6 +52,7 @@ from .verification import (
     check_maximal_bound,
     check_sobolev_inequality,
     check_star_convolution_bound,
+    estimate_unstable,
     run_clipping_convergence,
     run_density_experiment,
     run_mollification_convergence,
@@ -264,11 +265,18 @@ def _write(config: RunConfig, outputs: dict, verdicts: list, stem: str) -> list:
     return write_outputs(record, config.options["format"], config.options["out"], stem)
 
 
+def _norm_verdict(report) -> str:
+    """"Unstable" when the seminorm or the critical norm cannot be trusted,
+    the rule lemma-2.1 applies to each of its estimates; else "Pass"."""
+    return "Unstable" if estimate_unstable(report.seminorm) or estimate_unstable(report.lpstar) else "Pass"
+
+
 def _run_norm(config: RunConfig) -> tuple:
     opts = config.options
     params = _space(opts)
     u = field_from_spec(opts["field"], space=params)
-    return {"report": norm_full(u, params, _spec(opts))}, ["Pass"]
+    report = norm_full(u, params, _spec(opts))
+    return {"report": report}, [_norm_verdict(report)]
 
 
 def _run_approx(config: RunConfig) -> tuple:
@@ -289,7 +297,7 @@ def _run_approx(config: RunConfig) -> tuple:
             "rho_smoothness": rho.smoothness,
             "error": err,
         }
-    }, ["Pass"]
+    }, [_norm_verdict(err)]
 
 
 def _admissible_grid(params, count: int = 3) -> list:
@@ -377,10 +385,13 @@ def run_command(config: RunConfig) -> int:
         for sub in subs:  # every point in range before the first run writes a record
             field_from_spec(sub.options["field"], space=_space(sub.options))
             _spec(sub.options)
+        verdicts = []
         for i, sub in enumerate(subs):
-            _write(sub, *_run_norm(sub), f"sweep_{key}_{i}")
+            outputs, sub_verdicts = _run_norm(sub)
+            _write(sub, outputs, sub_verdicts, f"sweep_{key}_{i}")
+            verdicts += sub_verdicts
         print(f"sweep: wrote {len(opts['values'])} records to {opts['out']}")
-        return 0
+        return 0 if all(v in PASS_VERDICTS for v in verdicts) else 1
 
     if config.command == "norm":
         outputs, verdicts = _run_norm(config)

@@ -9,6 +9,10 @@ means are folded in chunk order.  Every integrand, convolved fields
 included (smoothing._mollify), computes a point's value from that point
 alone, so the grouping and smoothing.CONV_BLOCK bound memory without
 moving a bit: two runs with the same spec return bit-identical estimates.
+The groups may run at once on worker threads, one per CPU in the process's
+affinity mask (WORKERS), each drawing from its own generator; a group's
+chunk means depend on its own chunks' streams alone and are put back in
+chunk order, so the worker count moves no bit either.
 The reported standard error is the sample standard deviation of the
 chunk means divided by sqrt(64).
 
@@ -34,10 +38,11 @@ field the package builds are (ScalarField, PairField).  Its weights
 it.
 
 Philox is counter-based: a stream is fixed by its key and its counter.
-So each estimate builds one generator and switches it from stream to
-stream by setting its state (key [seed, k], zero counter, empty buffers);
-it then draws exactly what a fresh ``Philox(key=[seed, k])`` would, without
-the seed sequence, entropy read and lock that building one costs.
+So each worker of an estimate builds one generator and switches it from
+stream to stream by setting its state (key [seed, k], zero counter, empty
+buffers); it then draws exactly what a fresh ``Philox(key=[seed, k])``
+would, without the seed sequence, entropy read and lock that building one
+costs.
 
 Importance sampling is by exact radial inverse-CDF draws (power-law
 radial densities are analytically invertible); no rejection sampling is
@@ -50,6 +55,8 @@ Estimate is 0 for that reason.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -70,6 +77,23 @@ N_CHUNKS = 64
 # doubles, stays under the allocator's 128 KiB mmap threshold and is reused
 # from the heap instead of being mapped and faulted in afresh every group
 GROUP_POINTS = 1 << 12
+
+
+def _affinity_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the
+    platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# threads that evaluate a fold's groups, or a convolution's blocks
+# (_on_workers): one per CPU the process may run on
+WORKERS = _affinity_cpus()
+# marks a thread while it works for _on_workers, so that a fold or a
+# convolution called from inside a worker runs inline
+_in_worker = threading.local()
 
 METHOD_MONTE_CARLO = "monte_carlo"
 METHOD_TENSOR_ORACLE = "tensor_oracle_1d"
@@ -273,6 +297,54 @@ class _NearFarMixture:
         return 0.5 * q_near + 0.5 * q_far
 
 
+def _on_workers(task: Callable[[int], object], count: int) -> list:
+    """``[task(i) for i in range(count)]``, on up to WORKERS threads.
+
+    The calling thread works too.  A single task, or a call from inside a
+    worker (a nested fold or convolution), runs inline.  After a task
+    raises, no worker takes a new one; every task taken finishes, and then
+    the exception of the first failing task is raised on the calling
+    thread.  Tasks are taken in order, so that is the exception a loop
+    would raise.
+    """
+    workers = min(WORKERS, count)
+    if workers <= 1 or getattr(_in_worker, "active", False):
+        return [task(i) for i in range(count)]
+    results, errors = [None] * count, {}
+    lock = threading.Lock()
+    order = iter(range(count))
+
+    def work() -> None:
+        _in_worker.active = True
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = task(i)
+                except BaseException as exc:  # re-raised on the calling thread
+                    with lock:
+                        errors[i] = exc
+        finally:
+            _in_worker.active = False
+
+    threads = [
+        threading.Thread(target=work, name=f"{__name__}.worker-{w}", daemon=True) for w in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _fold_chunks(
     spec: QuadratureSpec,
     draw: Callable[[np.random.Generator, int], tuple],
@@ -286,20 +358,28 @@ def _fold_chunks(
     last of the largest drawn array) and at least one, and returns values
     whose last axis runs over the rows.  It must compute each row's value
     from that row alone, so that the grouping moves no bit.
+
+    The groups may run at once on worker threads (``_on_workers``), each
+    drawing from its own generator, so ``draw`` and ``evaluate`` must be
+    safe to call from several threads.  A group's chunk means depend on its
+    own chunks' streams alone, so the worker count moves no bit either.
     """
     m = spec.samples // N_CHUNKS
-    rng = _chunk_rng(spec.seed, 0)
-    means, pending, per_group = [], [], 1
-    for k in range(N_CHUNKS):
-        pending.append(draw(_switch_stream(rng, spec.seed, k), m))
-        if k == 0:
-            points = max(a.size // a.shape[-1] for a in pending[0])
-            per_group = max(1, GROUP_POINTS // points)
-        if len(pending) == per_group or k == N_CHUNKS - 1:
-            vals = evaluate(*(np.concatenate(parts) for parts in zip(*pending)))
-            means.append(vals.reshape(*vals.shape[:-1], len(pending), m).mean(axis=-1))
-            pending = []
-    return np.concatenate(means, axis=-1)
+    # each thread's own generator, moved to a chunk's stream before it draws
+    rngs = threading.local()
+    rngs.rng = _chunk_rng(spec.seed, 0)
+    first = draw(rngs.rng, m)
+    per_group = max(1, GROUP_POINTS // max(a.size // a.shape[-1] for a in first))
+
+    def group(i: int) -> np.ndarray:
+        if not hasattr(rngs, "rng"):
+            rngs.rng = _chunk_rng(spec.seed, 0)
+        chunks = range(i * per_group, min((i + 1) * per_group, N_CHUNKS))
+        drawn = [first if k == 0 else draw(_switch_stream(rngs.rng, spec.seed, k), m) for k in chunks]
+        vals = evaluate(*(np.concatenate(parts) for parts in zip(*drawn)))
+        return vals.reshape(*vals.shape[:-1], len(chunks), m).mean(axis=-1)
+
+    return np.concatenate(_on_workers(group, -(-N_CHUNKS // per_group)), axis=-1)
 
 
 def _combine_chunks(chunk_means: np.ndarray, samples_used: int, digest: str) -> Estimate:

@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import quadrature
 from .errors import ParameterOutOfRange
 from .fields import (
     CutoffProfile,
@@ -39,7 +40,9 @@ from .fields import (
 )
 from .params import row_norm
 
-# most (point, node) pairs evaluated in one call of the convolved field
+# most (point, node) pairs evaluated at once by all the worker threads
+# together (quadrature.WORKERS): a budget they share, so each call of the
+# convolved field takes at most CONV_BLOCK // quadrature.WORKERS of them
 CONV_BLOCK = 1 << 20
 
 
@@ -129,7 +132,10 @@ def _mollify(f, points: tuple, nodes: tuple) -> np.ndarray:
     """sum_k W_k f(p - Z_k, ...) at each row p of the arrays in ``points``,
     all of shape (m, n): ``(x,)`` for a scalar field, ``(x, y)`` for a pair
     field shifted along the diagonal.  Points are taken in blocks of at most
-    CONV_BLOCK (point, node) pairs, so memory stays bounded.
+    CONV_BLOCK // quadrature.WORKERS (point, node) pairs, so memory stays
+    bounded however many workers convolve at once.  Outside a fold's
+    workers the blocks themselves run on the workers (a single-group fold
+    convolves on every CPU), so f must be safe to call from several threads.
 
     Each point's value is ``np.vecdot`` of its own K shifted values with the
     weights, a reduction whose rounding does not depend on the other points
@@ -138,10 +144,14 @@ def _mollify(f, points: tuple, nodes: tuple) -> np.ndarray:
     z, w = nodes
     n = z.shape[1]
     out = np.empty(points[0].shape[0])
-    block = max(1, CONV_BLOCK // len(w))
-    for start in range(0, len(out), block):
-        shifted = ((p[start : start + block, None, :] - z[None, :, :]).reshape(-1, n) for p in points)
-        out[start : start + block] = np.vecdot(f(*shifted).reshape(-1, len(w)), w)
+    block = max(1, CONV_BLOCK // quadrature.WORKERS // len(w))
+
+    def fill(i: int) -> None:
+        rows = slice(i * block, (i + 1) * block)
+        shifted = ((p[rows, None, :] - z[None, :, :]).reshape(-1, n) for p in points)
+        out[rows] = np.vecdot(f(*shifted).reshape(-1, len(w)), w)
+
+    quadrature._on_workers(fill, -(-len(out) // block))
     return out
 
 

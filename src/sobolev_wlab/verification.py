@@ -479,6 +479,12 @@ def run_density_experiment(
 # finiteness grid and the Sobolev inequality
 
 
+def estimate_unstable(est: Estimate) -> bool:
+    """Whether an estimate cannot back a passing verdict: it is non-finite
+    or its chunk stderr exceeds a quarter of its value."""
+    return (not np.isfinite(est.value)) or (FLAG_UNSTABLE in est.flags)
+
+
 def check_finiteness_smooth(
     u: ScalarField,
     params: SpaceParams,
@@ -492,7 +498,7 @@ def check_finiteness_smooth(
     unstable = 0
     for gw in gw_grid:
         est = seminorm_general(u, params, gw, spec)
-        flagged = (not np.isfinite(est.value)) or (FLAG_UNSTABLE in est.flags)
+        flagged = estimate_unstable(est)
         unstable += int(flagged)
         entries.append(
             {

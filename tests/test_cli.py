@@ -125,6 +125,29 @@ def test_verify_negative_control_exit_1(tmp_path):
     assert main(args + ["--reversed-ladder"]) == 1
 
 
+@pytest.mark.parametrize("command", ["norm", "approx"])
+def test_norm_and_approx_negative_control_exit_1(command, tmp_path):
+    """A spike near its integrability edge gives, at 6,400 samples, a
+    critical norm whose chunk stderr is above a quarter of its value: the
+    record says "Unstable" and the run exits 1.  The smooth bump passes."""
+    args = [command, *BASE, "--samples", "6400", "--seed", "0", "--out", str(tmp_path)]
+    record = tmp_path / f"{command}.json"
+    assert main([*args, "--field", "smooth_bump"]) == 0
+    assert json.loads(record.read_text())["verdicts"] == ["Pass"]
+    assert main([*args, "--field", "singular_spike(gamma=0.15)"]) == 1
+    assert json.loads(record.read_text())["verdicts"] == ["Unstable"]
+
+
+def test_sweep_negative_control_exit_1(tmp_path):
+    """A sweep writes every point's record and exits 1 when a point is
+    unstable: the spike of the norm control, at two seeds."""
+    code = main(["sweep", "--param", "seed", "--values", "0,1", "--field", "singular_spike(gamma=0.15)",
+                 *BASE, "--samples", "6400", "--out", str(tmp_path)])
+    assert code == 1
+    verdicts = [json.loads((tmp_path / f"sweep_seed_{i}.json").read_text())["verdicts"] for i in (0, 1)]
+    assert verdicts == [["Unstable"], ["Unstable"]]
+
+
 def test_io_error_exit_3(tmp_path):
     assert main(["norm", *BASE, "--samples", "16000", "--out", "/proc/x"]) == 3
 
@@ -240,14 +263,19 @@ GOLDEN_RECORDS_N2 = {
     "lemma-4.3": "5a43dc8f51c17d7e661f5b4968b54c8e1cf45553712c495fcac41d569d297d8a",
     "prop-4.4": "6202f461cdf0c3b6e35f7e4354919d501cf33e8493df117a2d1d55aa7e3cae35",
     "eq-6.4": "9e6e005101e37d3750ce82be6c193112fb285bf264fbbfdd4a6b3059a91feab7",
-    "approx": "eb0ab8ff0e31f509d46c4c795f3cb114e3944b99bbb0af60f29fbf8a114e8db2",
+    # at 1,024 samples both of its norms carry EstimateUnstable, so its
+    # verdict is "Unstable" (the record read "Pass" before norm and approx
+    # judged their estimates; with "Pass" its digest was eb0ab8ff0e31...)
+    "approx": "0d4701511ecc85e9df6861e4bf836f794b6137d71b5f316eb0425c194ea8060a",
 }
+# the runs whose verdict fails, with exit code 1
+UNSTABLE_N2 = ("approx",)
 
 
-def _record_digests(commands: dict, run_args: list, out) -> dict:
+def _record_digests(commands: dict, run_args: list, out, unstable=()) -> dict:
     digests = {}
     for name, command in commands.items():
-        assert main([*command, *run_args, "--out", str(out)]) == 0, name
+        assert main([*command, *run_args, "--out", str(out)]) == (1 if name in unstable else 0), name
         stem = f"verify_{name}" if command[0] == "verify" else name
         record = json.loads((out / f"{stem}.json").read_text())
         record.pop("timestamp")
@@ -268,7 +296,7 @@ def test_records_golden(tmp_path, capsys):
     commands_n2["approx"] = ["approx"]
     run_args_n2 = ["--n", "2", "--s", "0.3", "--p", "2", "--a", "0.1", "--seed", "7",
                    "--samples", "1024", "--trials", "20", "--conv-grid", "16"]
-    assert _record_digests(commands_n2, run_args_n2, tmp_path / "n2") == GOLDEN_RECORDS_N2
+    assert _record_digests(commands_n2, run_args_n2, tmp_path / "n2", UNSTABLE_N2) == GOLDEN_RECORDS_N2
 
 
 # a small oracle grid on which the statement's refinement check passes
@@ -317,4 +345,6 @@ def test_runtime_never_imports_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got == {"codes": [0, 0, 0, 0], "scipy": []}
+    # at 1,024 samples the norm (n = 3) and the approximation error (n = 2)
+    # carry EstimateUnstable, so those two runs exit 1
+    assert got == {"codes": [1, 1, 0, 0], "scipy": []}

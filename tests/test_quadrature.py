@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -359,29 +360,43 @@ def test_pair_estimators_evaluate_each_pair_once():
     holds points."""
     params = validate_params(1, 0.3, 2.0, 0.1)
     g = _lift_power(smooth_bump_field(1.0), params)
+    scored = _PointCount()
 
     def counted(x, y):
-        counted.points += int(np.prod(np.broadcast_shapes(x.shape, y.shape)[:-1]))
+        scored.add(np.broadcast_shapes(x.shape, y.shape)[:-1])
         return g(x, y)
 
-    counted.points = 0
     _pair_mc(counted, params, 0.1, 0.1, 6400)
-    assert counted.points == 2 * 6400
-    counted.points = 0
+    assert scored.points == 2 * 6400
+    scored.points = 0
     spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=64)
     oracle_pair_integral_1d(counted, 0.2, 0.0, 11.0, 22.0, spec)
     # grids of 16, 32 and 64 cells: c+1 points in x > 0, c+1 + c//2+1 in z > 0
-    assert counted.points == sum(2 * (c + 1) * (c + 1 + c // 2 + 1) for c in (16, 32, 64))
+    assert scored.points == sum(2 * (c + 1) * (c + 1 + c // 2 + 1) for c in (16, 32, 64))
+
+
+class _PointCount:
+    """Points an integrand is given.  The fold may evaluate groups on
+    several threads at once, so the count is updated under a lock."""
+
+    def __init__(self):
+        self.points = 0
+        self._lock = threading.Lock()
+
+    def add(self, leading_shape) -> None:
+        with self._lock:
+            self.points += int(np.prod(leading_shape))
 
 
 def _counting(u):
     """u with an evaluator that counts the points it is given."""
+    reads = _PointCount()
+
     def evaluate(x):
-        evaluate.points += int(np.prod(x.shape[:-1]))
+        reads.add(x.shape[:-1])
         return u(x)
 
-    evaluate.points = 0
-    return ScalarField(u.label, evaluate, u.support_radius, u.smoothness), evaluate
+    return ScalarField(u.label, evaluate, u.support_radius, u.smoothness), reads
 
 
 def test_pair_estimators_read_each_distinct_point_once():
@@ -401,11 +416,12 @@ def test_pair_estimators_read_each_distinct_point_once():
 def test_scalar_oracle_evaluates_half_the_grid():
     """The scalar oracle reads f once per point of the x > 0 grid: c+1
     points on a grid of c cells."""
+    reads = _PointCount()
+
     def counted(x):
-        counted.points += x.shape[0]
+        reads.add(x.shape[:1])
         return np.exp(-x[..., 0] ** 2)
 
-    counted.points = 0
     spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=64)
     oracle_weighted_integral_1d(counted, 0.2, 11.0, spec)
-    assert counted.points == sum(c + 1 for c in (16, 32, 64))
+    assert reads.points == sum(c + 1 for c in (16, 32, 64))
