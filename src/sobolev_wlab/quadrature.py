@@ -22,14 +22,21 @@ The norms pass g = |v|^p, which is symmetric because every PairField is
 antisymmetric, v(y, x) == -v(x, y) (negation is exact in IEEE
 arithmetic).  The oracle sums its terms block by block over the z grid
 (blocks of at most 2^22 grid points), so its value depends at rounding
-level on that blocking and on the order of the terms.
+level on that blocking and on the order of the terms.  Within a block it
+fills each sign's (m, k) arrays of terms a row group at a time (at most
+ORACLE_GROUP_POINTS points, whatever WORKERS is), on the worker threads,
+and contracts the whole arrays on the calling thread, in block and then
+sign order, as one pass over the block would.  Every term is computed from
+its own point alone, so the row groups and the worker count move no bit;
+g must be safe to call from several threads.
 
 Broadcast contract: a pair integrand takes points x and y whose shapes
 broadcast against each other, (..., n), and returns values of their
 broadcast leading shape, as every PairField does.  The pair estimators pass
 a point shared by many pairs once: Monte Carlo evaluates g(x, [x + z, x - z])
-in one call, and the oracle g(u, u +- z) with u of shape (m, 1, 1) against
-(m, k, 1).  So the lift of a field reads u(x) once for all of them.
+in one call, and the oracle g(u, u +- z) with u of shape (rows, 1, 1)
+against (rows, k, 1).  So the lift of a field reads u(x) once for all of
+them.
 
 Reflection contract: the 1-d oracle requires integrands that are even,
 f(-x) == f(x) and g(-x, -y) == g(x, y), as the powers of every n = 1
@@ -88,11 +95,11 @@ def _affinity_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# threads that evaluate a fold's groups, or a convolution's blocks
-# (_on_workers): one per CPU the process may run on
+# threads that evaluate a fold's groups, a convolution's blocks or the pair
+# oracle's row groups (_on_workers): one per CPU the process may run on
 WORKERS = _affinity_cpus()
-# marks a thread while it works for _on_workers, so that a fold or a
-# convolution called from inside a worker runs inline
+# marks a thread while it works for _on_workers, so that a fold, a
+# convolution or an oracle called from inside a worker runs inline
 _in_worker = threading.local()
 
 METHOD_MONTE_CARLO = "monte_carlo"
@@ -101,6 +108,10 @@ METHOD_TENSOR_ORACLE = "tensor_oracle_1d"
 # fixed grading constants of the oracle; not adaptive, for reproducibility
 ORACLE_GRADING_RATIO = 1.15
 ORACLE_CELL_FLOOR = 1e-8
+# most (u, z) points of a row group, the pair oracle's unit of work on the
+# workers: cache-sized temporaries.  A z block holds k <= 2^22 // m and
+# k <= m + m // 2 + 1 nodes, so k < 2^12 and a group always holds whole rows
+ORACLE_GROUP_POINTS = 1 << 16
 
 FLAG_UNSTABLE = "EstimateUnstable"
 FLAG_UNRELIABLE = "Unreliable"
@@ -301,7 +312,7 @@ def _on_workers(task: Callable[[int], object], count: int) -> list:
     """``[task(i) for i in range(count)]``, on up to WORKERS threads.
 
     The calling thread works too.  A single task, or a call from inside a
-    worker (a nested fold or convolution), runs inline.  After a task
+    worker (a nested fold, convolution or oracle), runs inline.  After a task
     raises, no worker takes a new one; every task taken finishes, and then
     the exception of the first failing task is raised on the calling
     thread.  Tasks are taken in order, so that is the exception a loop
@@ -625,17 +636,24 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
     for start in range(0, len(z), block):
         zb = z[start : start + block]
         wzb = wz[start : start + block]
-        for sgn in (1.0, -1.0):
-            t = u[:, None] + sgn * zb[None, :]
+        rows = ORACLE_GROUP_POINTS // len(zb)
+        part1, part2 = np.empty((m, len(zb))), np.empty((m, len(zb)))
+
+        def fill(i: int, sgn: float) -> None:
+            r = slice(i * rows, (i + 1) * rows)
+            t = u[r, None] + sgn * zb[None, :]
             abs_t = np.abs(t)
-            # u (m, 1, 1) broadcasts against t (m, k, 1): g reads each u once
-            vals = g(u[:, None, None], t[:, :, None])
+            # u (rows, 1, 1) broadcasts against t (rows, k, 1): g reads each u once
+            vals = g(u[r, None, None], t[:, :, None])
             # part 1: x = u bounded, y = t anywhere
-            part1 = weighted(vals, abs_t, beta)
-            total += float(w1 @ part1 @ wzb)
+            part1[r] = weighted(vals, abs_t, beta)
             # part 2: y = u bounded, x = t restricted to |x| > x_max
-            part2 = part1 if alpha == beta else weighted(vals, abs_t, alpha)
-            total += float(w2 @ np.where(abs_t > x_max, part2, 0.0) @ wzb)
+            part2[r] = np.where(abs_t > x_max, part1[r] if alpha == beta else weighted(vals, abs_t, alpha), 0.0)
+
+        for sgn in (1.0, -1.0):
+            _on_workers(lambda i: fill(i, sgn), -(-m // rows))
+            total += float(w1 @ part1 @ wzb)
+            total += float(w2 @ part2 @ wzb)
     return total
 
 
@@ -653,9 +671,16 @@ def oracle_pair_integral_1d(
     with y = x + z and graded grids toward 0, on the spec's grid.  g must
     also be even, g(-x, -y) == g(x, y): the bounded variable runs over
     x > 0 only and the sum is doubled.  g must broadcast its arguments: it
-    is called as g(u, t) with the bounded points u of shape (m, 1, 1) and
-    t = u +- z of shape (m, k, 1), and returns shape (m, k), so each u is
-    read once per sign and block of k z nodes, not once per node."""
+    is called as g(u, t) with bounded points u of shape (rows, 1, 1) and
+    t = u +- z of shape (rows, k, 1), and returns shape (rows, k), so each
+    u is read once per sign and block of k z nodes, not once per node.
+
+    Each call covers one row group of at most ORACLE_GROUP_POINTS points,
+    so memory does not grow with the grid.  The row groups of a block run
+    on the worker threads (``_on_workers``), so g must be safe to call from
+    several threads; their terms are contracted on the calling thread in
+    the order of a whole-block pass, so the value does not depend on the
+    worker count."""
     coarse, mid, fine = _refine(
         lambda cells: _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells), spec.grid_points
     )

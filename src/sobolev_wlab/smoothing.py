@@ -133,9 +133,10 @@ def _mollify(f, points: tuple, nodes: tuple) -> np.ndarray:
     all of shape (m, n): ``(x,)`` for a scalar field, ``(x, y)`` for a pair
     field shifted along the diagonal.  Points are taken in blocks of at most
     CONV_BLOCK // quadrature.WORKERS (point, node) pairs, so memory stays
-    bounded however many workers convolve at once.  Outside a fold's
-    workers the blocks themselves run on the workers (a single-group fold
-    convolves on every CPU), so f must be safe to call from several threads.
+    bounded however many workers convolve at once.  Outside the workers of
+    a fold or of the pair oracle's row groups the blocks themselves run on
+    the workers (a single-group fold convolves on every CPU), so f must be
+    safe to call from several threads.
 
     Each point's value is ``np.vecdot`` of its own K shifted values with the
     weights, a reduction whose rounding does not depend on the other points

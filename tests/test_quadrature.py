@@ -332,6 +332,76 @@ def test_pair_oracle_half_grid_agrees(s, p, a):
             assert half == pytest.approx(_two_part_tensor_sum(g, alpha, beta, x_max, 256), rel=1e-12)
 
 
+def _whole_block_tensor_sum(g, alpha, beta, x_max, z_max, cells):
+    """The half-grid tensor sum with each sign of a z block filled by one
+    call of g over all m rows, the reference for the row groups."""
+    zm, zw = quadrature._graded_half_grid(z_max, cells)
+    wm, ww = quadrature._graded_half_grid(1.0 / z_max, cells // 2)
+    z = np.concatenate([zm, 1.0 / wm])
+    wz = np.concatenate([zw, ww / (wm * wm)])
+    u, uw = quadrature._graded_half_grid(x_max, cells, floor=1e-6)
+    m = len(u)
+    w1 = 2.0 * u ** (-alpha) * uw
+    w2 = 2.0 * u ** (-beta) * uw
+
+    def weighted(vals, abs_t, exponent):
+        return vals * np.maximum(abs_t, 1e-300) ** (-exponent)
+
+    total = 0.0
+    block = max(1, (1 << 22) // m)
+    for start in range(0, len(z), block):
+        zb = z[start : start + block]
+        wzb = wz[start : start + block]
+        for sgn in (1.0, -1.0):
+            t = u[:, None] + sgn * zb[None, :]
+            abs_t = np.abs(t)
+            vals = g(u[:, None, None], t[:, :, None])
+            part1 = weighted(vals, abs_t, beta)
+            total += float(w1 @ part1 @ wzb)
+            part2 = part1 if alpha == beta else weighted(vals, abs_t, alpha)
+            total += float(w2 @ np.where(abs_t > x_max, part2, 0.0) @ wzb)
+    return total
+
+
+@pytest.mark.parametrize("cells", [2048, 300])
+def test_pair_oracle_row_groups_match_whole_blocks(cells):
+    """Filling a z block's terms a row group at a time gives the sum of one
+    whole-block pass to the bit: at 2,048 cells the z axis spans two blocks,
+    and at 300 cells the last row group is a partial one."""
+    m, k = cells + 1, cells + 1 + cells // 2 + 1
+    block = (1 << 22) // m
+    rows = quadrature.ORACLE_GROUP_POINTS // min(block, k)
+    assert (block < k) == (cells == 2048) and m % rows
+    params = validate_params(1, 0.3, 2.0, 0.1)
+    for u in (hat_1d_field(), smooth_bump_field(1.0), gaussian_field()):
+        g = _lift_power(u, params)
+        x_max = resolve_outer_radius(QuadratureSpec(), u.support_radius)
+        for alpha, beta in ((0.1, 0.1), (0.2, 0.0)):
+            grouped = quadrature._oracle_pair_1d_once(g, alpha, beta, x_max, 2.0 * x_max, cells)
+            assert grouped == _whole_block_tensor_sum(g, alpha, beta, x_max, 2.0 * x_max, cells)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pair_oracle_calls_stay_within_the_row_group(workers, monkeypatch):
+    """No call of g in the pair oracle takes more than ORACLE_GROUP_POINTS
+    (u, z) points, at any worker count, while the calls together still
+    cover the whole (x > 0, z > 0) grid once per sign."""
+    monkeypatch.setattr(quadrature, "WORKERS", workers)
+    for grid in (1024, 2048):
+        sizes, lock = [], threading.Lock()
+
+        def counted(x, y):
+            with lock:
+                sizes.append(int(np.prod(np.broadcast_shapes(x.shape, y.shape)[:-1])))
+            return np.exp(-(x * x + y * y)[..., 0])
+
+        spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=grid)
+        oracle_pair_integral_1d(counted, 0.1, 0.1, 1.0, 2.0, spec)
+        assert max(sizes) <= quadrature.ORACLE_GROUP_POINTS
+        cells = (grid // 4, grid // 2, grid)
+        assert sum(sizes) == sum(2 * (c + 1) * (c + 1 + c // 2 + 1) for c in cells)
+
+
 def _two_sided_sum(f, c, x_max, cells):
     """The scalar oracle's midpoint sum over both halves of the x grid: the
     reference for the mirrored half-grid sum."""

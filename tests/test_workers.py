@@ -1,8 +1,8 @@
-"""The worker threads of the chunk fold and of the convolution blocks:
-estimates and convolved values do not depend on how many there are, an
-error in any group surfaces with its own type after every worker has
-stopped, nested folds run inline, and the convolution block is shared
-between the workers."""
+"""The worker threads of the chunk fold, of the convolution blocks and of
+the pair oracle's row groups: estimates and convolved values do not depend
+on how many there are, an error in any group surfaces with its own type
+after every worker has stopped, nested folds run inline, and the
+convolution block is shared between the workers."""
 
 import sys
 import threading
@@ -21,17 +21,22 @@ from sobolev_wlab import (
     estimate_weighted_integral_Rn,
     lift_difference_quotient,
     norm_full,
+    oracle_pair_integral_1d,
+    oracle_weighted_integral_1d,
     pipeline_rho,
     polynomial_tail_field,
     quadrature,
+    seminorm_general,
     smooth_bump_field,
     smoothing,
     star_convolve,
+    star_convolve_field,
+    validate_general_weights,
     validate_params,
 )
 from sobolev_wlab import cli
 from sobolev_wlab.fields import default_cutoff, default_mollifier, subtract
-from sobolev_wlab.quadrature import QuadratureSpec
+from sobolev_wlab.quadrature import METHOD_TENSOR_ORACLE, QuadratureSpec
 
 JOIN_TIMEOUT_S = 60
 
@@ -62,8 +67,11 @@ def _bounded(fn):
 
 
 def _estimators():
-    v = lift_difference_quotient(smooth_bump_field(1.0), validate_params(1, 0.3, 2.0, 0.1))
+    params1 = validate_params(1, 0.3, 2.0, 0.1)
+    v = lift_difference_quotient(smooth_bump_field(1.0), params1)
     g = lambda x, y: np.abs(v(x, y)) ** 2  # noqa: E731
+    star = star_convolve_field(v, default_mollifier(1), 0.1, 8)
+    g_star = lambda x, y: np.abs(star(x, y)) ** 2  # noqa: E731
     V = lift_difference_quotient(smooth_bump_field(1.0), validate_params(2, 0.3, 2.0, 0.1))
     conv = {
         n: (
@@ -74,8 +82,10 @@ def _estimators():
     }
     x, y = np.random.default_rng(0).uniform(-1.5, 1.5, (2, 3000, 2))
     eta = default_mollifier(2)
-    # budgets of 2 to 64 groups of GROUP_POINTS points, and convolutions of
-    # 3,000 points in 6 to 18 blocks
+    oracle = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=512)
+    # budgets of 2 to 64 groups of GROUP_POINTS points, convolutions of
+    # 3,000 points in 6 to 18 blocks, and pair oracles whose finest z block
+    # fills in 7 row groups (2 for the star-convolved field)
     return {
         "convolve_n2": lambda: convolve(smooth_bump_field(1.0), 0.1, eta, x, 128).tolist(),
         "star_convolve_n2": lambda: star_convolve(V, eta, 0.1, x, y, 32).tolist(),
@@ -93,6 +103,16 @@ def _estimators():
         ),
         "norm_full_conv_n1": lambda: norm_full(*conv[1], QuadratureSpec(samples=1 << 14, seed=5)),
         "norm_full_conv_n2": lambda: norm_full(*conv[2], QuadratureSpec(samples=1 << 14, seed=6)),
+        "oracle_weighted_conv_n1": lambda: oracle_weighted_integral_1d(
+            lambda x: np.abs(conv[1][0](x)) ** 2, 0.2, 12.0, oracle
+        ),
+        "oracle_pair": lambda: oracle_pair_integral_1d(g, 0.1, 0.1, 1.0, 2.0, oracle),
+        "oracle_seminorm_general": lambda: seminorm_general(
+            smooth_bump_field(1.0), params1, validate_general_weights(params1, 0.2, 0.0), oracle
+        ),
+        "oracle_pair_star_convolve": lambda: oracle_pair_integral_1d(
+            g_star, 0.1, 0.1, 1.1, 2.2, QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=256)
+        ),
     }
 
 
@@ -158,6 +178,51 @@ def test_error_in_a_late_group_keeps_its_exit_code(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(cli, "field_from_spec", lambda spec, space: u)
     args = ["norm", "--n", "1", "--s", "0.3", "--p", "2", "--a", "0.1", "--samples", "65536",
             "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    assert "call 30" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert not _workers_alive()
+
+
+def _failing_pair(fail_at: int):
+    """A smooth pair integrand, raising QuadratureFailure from its
+    ``fail_at``-th call on."""
+    calls = _Calls()
+
+    def g(x, y):
+        if calls.next() >= fail_at:
+            raise QuadratureFailure(f"call {fail_at}")
+        return np.exp(-(x * x + y * y)[..., 0])
+
+    return g, calls
+
+
+def test_error_in_a_late_row_group_propagates_after_every_worker_stops(monkeypatch):
+    """A pair oracle's row group raising after others succeeded surfaces
+    with its own type on the calling thread, and no worker outlives the
+    oracle."""
+    monkeypatch.setattr(quadrature, "WORKERS", 3)
+    # grids of 256, 512 and 1,024 cells fill each sign in 2, 7 and 25 row
+    # groups: call 30 is the 12th row group of the finest grid's first sign
+    g, calls = _failing_pair(30)
+    spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=1024)
+    with pytest.raises(QuadratureFailure, match="call 30"):
+        _bounded(lambda: oracle_pair_integral_1d(g, 0.1, 0.1, 1.0, 2.0, spec))
+    assert 30 <= calls.count < 30 + 3  # no row group is taken after the failure
+    assert not _workers_alive()
+
+
+def test_error_in_a_late_row_group_keeps_its_exit_code(monkeypatch, tmp_path, capsys):
+    """A range error raised in a late row group of an oracle verify exits 2,
+    as it would from a single thread, and writes no record."""
+    monkeypatch.setattr(quadrature, "WORKERS", 3)
+    # the lift reads u twice per call of g: the denominator's grids of 128,
+    # 256 and 512 cells make 4, 8 and 28 reads, so read 30 falls in the
+    # finest grid's second sign
+    u, _ = _failing_late(30, ParameterOutOfRange)
+    monkeypatch.setattr(cli, "field_from_spec", lambda spec, space: u)
+    args = ["verify", "prop-4.4", "--n", "1", "--s", "0.3", "--p", "2", "--a", "0.1", "--conv-grid", "8",
+            "--method", "tensor_oracle_1d", "--grid-points", "512", "--out", str(tmp_path)]
     assert cli.main(args) == 2
     assert "call 30" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
