@@ -49,7 +49,14 @@ class ScalarField:
     even, and dilation, subtraction, the radial cutoff and convolution with
     the radial mollifier keep it.  ``smoothing.convolve`` relies on it to
     convolve at |x| e_1 on nodes aligned with that axis, and the 1-d oracle
-    to sum over x > 0 only."""
+    to sum over x > 0 only.
+
+    A field is exactly 0 beyond ``support_radius``: u(x) == 0 whenever
+    row_norm(x) > support_radius, save within rounding of a radius that is
+    itself rounded (a dilation's support_radius / lam, such as the 1/3 of
+    dilate(hat_1d, 3)).  ``smoothing.convolve`` relies on it to skip points
+    farther than support_radius + eps, and ``smoothing.truncate`` to return
+    u itself when support_radius <= j."""
 
     label: str
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -322,14 +329,17 @@ def clip_to_level(v: PairField, M: float) -> PairField:
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Smooth radial profile with value 1 on B_1 and 0 outside B_2."""
+    """Smooth radial profile, exactly 1.0 on B_1 (r <= 1), exactly 0 outside
+    B_2 and in [0, 1] between.  ``smoothing.truncate`` relies on the exact
+    1.0 to return u itself when supp u lies in B_j."""
 
     radial: Callable[[np.ndarray], np.ndarray]
 
 
 def default_cutoff() -> CutoffProfile:
     def radial(r: np.ndarray) -> np.ndarray:
-        # exp runs on the shell 1 < r < 2 only; NaN falls in the shell and stays NaN
+        # exp runs on the shell 1 < r < 2 only; NaN falls in the shell and stays NaN.
+        # Just past r = 1, hb is below an ulp of ha, so the value is still exactly 1.0
         r = np.asarray(r, dtype=float)
         lo = r <= 1.0
         mid = ~(lo | (r >= 2.0))

@@ -78,8 +78,17 @@ def _fixed_directions(n: int) -> tuple:
 
 
 def truncate(u: ScalarField, j: float, profile: CutoffProfile) -> ScalarField:
-    """tau_j * u: equals u on B_j, vanishes outside B_{2j}."""
-    return multiply_cutoff(u, cutoff_tau_j(profile, j))
+    """tau_j * u: equals u on B_j, vanishes outside B_{2j}.
+
+    When supp u lies in B_j (``u.support_radius <= j``) the product is u bit
+    for bit, so the result keeps the product's label, support radius and
+    smoothness but evaluates u alone.  At a point with |x|/j <= 1 the cutoff
+    is exactly 1.0 (the ``CutoffProfile`` contract) and u * 1.0 == u; beyond,
+    |x| > j >= support_radius, so u is exactly 0 (the ``ScalarField``
+    contract) and so is the product.  The default cutoff is still exactly 1.0
+    just past |x| = j, which covers a support radius rounded down by an ulp."""
+    w = multiply_cutoff(u, cutoff_tau_j(profile, j))
+    return replace(w, evaluator=u.evaluator) if u.support_radius <= j else w
 
 
 @lru_cache(maxsize=32)
@@ -238,6 +247,8 @@ def pipeline_rho(
     """rho_eps = (tau_j u) * eta_eps: smooth with compact support.
 
     Evaluation short-circuits by a distance check, so points outside
-    min(2j, supp u) + eps return exactly 0."""
+    min(2j, supp u) + eps return exactly 0.  When supp u lies in B_j,
+    ``truncate`` hands back u's own evaluator, so each convolution node reads
+    u alone, not the cutoff as well."""
     rho = convolve_field(truncate(u, j, cutoff), epsilon, mollifier, conv_grid)
     return replace(rho, label=f"rho(j={j},eps={epsilon},{u.label})")

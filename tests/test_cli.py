@@ -252,6 +252,7 @@ GOLDEN_RECORDS = {
     "sobolev-ineq": "bfcc3b0538ac9963f52eda95f9dc205332a3b53af9924f8ca7691843889f3fbb",
     "norm": "40d67599c77f2b48af33e86fd43fcc0d1959da4d5fc6aec06517de26fa29399f",
     "approx": "191731f11f7ed8bea595ba035f27668707c401fd8c73b7e0354417072fa2049d",
+    "approx-smooth_bump": "83fb2f940c1385e971b0f89f4c2a8438a2304c3dd4809033e1263324812de5b3",
 }
 
 
@@ -276,7 +277,7 @@ def _record_digests(commands: dict, run_args: list, out, unstable=()) -> dict:
     digests = {}
     for name, command in commands.items():
         assert main([*command, *run_args, "--out", str(out)]) == (1 if name in unstable else 0), name
-        stem = f"verify_{name}" if command[0] == "verify" else name
+        stem = f"verify_{name}" if command[0] == "verify" else command[0]
         record = json.loads((out / f"{stem}.json").read_text())
         record.pop("timestamp")
         record["config"].pop("out")
@@ -290,6 +291,7 @@ def test_records_golden(tmp_path, capsys):
     commands = {sid: ["verify", sid] for sid in STATEMENT_IDS}
     commands["norm"] = ["norm"]
     commands["approx"] = ["approx", "--field", "polynomial_tail(gamma=3)"]
+    commands["approx-smooth_bump"] = ["approx"]  # supp u in B_j: truncation is the identity
     run_args = [*BASE, "--seed", "7", "--samples", "6400", "--trials", "20", "--conv-grid", "32"]
     assert _record_digests(commands, run_args, tmp_path / "n1") == GOLDEN_RECORDS
     commands_n2 = {name: ["verify", name] for name in GOLDEN_RECORDS_N2 if name != "approx"}

@@ -123,6 +123,16 @@ def test_cutoff_profile(rng):
         cutoff_tau_j(default_cutoff(), 0.0)
 
 
+def test_cutoff_is_exactly_one_on_b1_and_zero_beyond_b2():
+    """The premise of smoothing.truncate's identity: the default cutoff is
+    exactly 1.0 on [0, 1] and exactly 0.0 on [2, 10], at both ends too."""
+    radial = default_cutoff().radial
+    inside = np.append(np.linspace(0.0, 1.0, 1_000_001), np.nextafter(1.0, 0.0))
+    outside = np.append(np.linspace(2.0, 10.0, 1_000_001), np.nextafter(2.0, 3.0))
+    assert np.all(radial(inside) == 1.0)
+    assert np.all(radial(outside) == 0.0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(j=st.floats(0.1, 50.0))
 def test_cutoff_range(j):

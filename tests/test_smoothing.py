@@ -20,7 +20,15 @@ from sobolev_wlab import (
     truncate,
     validate_params,
 )
-from sobolev_wlab.fields import default_cutoff, default_mollifier
+from sobolev_wlab.fields import (
+    cutoff_tau_j,
+    default_cutoff,
+    default_mollifier,
+    dilate,
+    multiply_cutoff,
+    singular_spike_field,
+    zero_field,
+)
 from sobolev_wlab.smoothing import conv_nodes
 
 
@@ -201,6 +209,71 @@ def test_truncation_identity_inside(rng):
     assert w(inside) == pytest.approx(u(inside))
     outside = rng.uniform(4.01, 10, size=(50, 1))
     assert np.all(w(outside) == 0.0)
+
+
+def _truncation_cases(n: int) -> list:
+    """(u, j) with supp u in B_j, for the fields that exist in dimension n."""
+    spike = singular_spike_field(0.1, 1.0, validate_params(n, 0.3, 2.0, 0.1))
+    cases = [(smooth_bump_field(R), j) for R in (0.5, 1.0) for j in (1.0, 2.0)]
+    cases += [(dilate(smooth_bump_field(1.0), 2.0), 1.0), (spike, 1.0), (zero_field(), 1.0)]
+    if n == 1:
+        cases += [(hat_1d_field(), 1.0), (dilate(hat_1d_field(), 3.0), 1.0 / 3.0)]
+    return cases
+
+
+def _shell_points(n: int, radii: list, rng) -> np.ndarray:
+    """The origin, random points in B_3, and points in random directions at
+    each radius, its 8 float neighbours on either side and a dense shell
+    within 1e-3 of it."""
+    r = [rng.uniform(0.0, 3.0, 2000), [0.0]]
+    for rad in radii:
+        near = [rad]
+        for d in (-np.inf, np.inf):
+            step = rad
+            for _ in range(8):
+                step = np.nextafter(step, d)
+                near.append(step)
+        r += [near, rad + np.linspace(-1e-3, 1e-3, 401)]
+    r = np.concatenate(r)
+    dirs = rng.normal(size=(len(r), n))
+    return r[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_truncation_inside_b_j_is_u_bit_for_bit(n, rng):
+    """When supp u lies in B_j, truncate returns u's own evaluator, and the
+    product tau_j * u it stands for has u's values as bit patterns (the
+    spike's inf at the origin included) on shells around |x| = support
+    radius and |x| = j; the label, support radius and smoothness are the
+    product's."""
+    cutoff = default_cutoff()
+    for u, j in _truncation_cases(n):
+        w = truncate(u, j, cutoff)
+        product = multiply_cutoff(u, cutoff_tau_j(cutoff, j))
+        assert w.evaluator is u.evaluator, u.label
+        assert (w.label, w.support_radius, w.smoothness) == (
+            product.label, product.support_radius, product.smoothness)
+        x = _shell_points(n, [u.support_radius, j], rng)
+        assert np.array_equal(_bits(w(x)), _bits(product(x))), (u.label, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_truncation_beyond_b_j_keeps_the_cutoff(n, rng):
+    """Negative control: smooth_bump(R=2) at j = 1 is not supported in B_j,
+    so truncate keeps the product, which equals u on B_1 and lies below it
+    on the shell 1 < |x| < 2 (from where the cutoff first drops below 1.0)."""
+    u = smooth_bump_field(2.0)
+    w = truncate(u, 1.0, default_cutoff())
+    assert w.evaluator is not u.evaluator
+    x = _shell_points(n, [1.0, 1.5], rng)
+    r = np.linalg.norm(x, axis=1)
+    shell = (r > 1.05) & (r < 1.95)
+    assert np.array_equal(w(x)[r <= 1.0], u(x)[r <= 1.0])
+    assert np.count_nonzero(shell) > 400 and np.all(w(x)[shell] < u(x)[shell])
 
 
 def test_pipeline_rho_support_and_smoothness():
