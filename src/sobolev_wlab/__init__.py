@@ -46,7 +46,6 @@ from .params import (
     WeightKind,
     validate_general_weights,
     validate_params,
-    weight_value,
 )
 from .quadrature import (
     Estimate,

@@ -88,31 +88,6 @@ def validate_general_weights(params: SpaceParams, alpha: float, beta: float) -> 
     return GeneralWeightParams(alpha=float(alpha), beta=float(beta))
 
 
-def weight_value(kind: WeightKind, params: SpaceParams, point: np.ndarray) -> np.ndarray:
-    """Evaluate Theta at points of R^N (N = 2n for PAIR, N = n for POINT).
-
-    Total on R^N with extended-real codomain: at a point where a weighted
-    coordinate block is exactly zero and the exponent is positive, the
-    value is +inf by convention (so the reciprocal, which is what the
-    integrands use, is 0 there).  Zero exponents give identically 1.
-
-    ``point`` may be a single vector of length N or an array of shape
-    (..., N); the result has the leading shape.
-    """
-    pt = np.asarray(point, dtype=float)
-    n = params.n
-    if kind is WeightKind.PAIR:
-        if pt.shape[-1] != 2 * n:
-            raise ValueError(f"expected last axis of size {2 * n}, got {pt.shape}")
-        rx = row_norm(pt[..., :n])
-        ry = row_norm(pt[..., n:])
-        return _pow_weight(rx, params.a) * _pow_weight(ry, params.a)
-    if pt.shape[-1] != n:
-        raise ValueError(f"expected last axis of size {n}, got {pt.shape}")
-    r = row_norm(pt)
-    return _pow_weight(r, params.b)
-
-
 def row_norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis: the square root of the squared
     coordinates summed in order.
@@ -132,6 +107,8 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _pow_weight(r: np.ndarray, exponent: float) -> np.ndarray:
+    """r^exponent, extended to r = 0 by +inf for a positive exponent (so its
+    reciprocal is 0 there); a zero exponent gives identically 1."""
     if exponent == 0.0:
         return np.ones_like(r)
     with np.errstate(divide="ignore"):

@@ -36,7 +36,7 @@ from .norms import (
     seminorm_general,
     seminorm_wspa,
 )
-from .params import GeneralWeightParams, SpaceParams, WeightKind, row_norm, weight_value
+from .params import GeneralWeightParams, SpaceParams, WeightKind, _pow_weight, row_norm
 from .quadrature import (
     Estimate,
     FLAG_UNSTABLE,
@@ -59,6 +59,8 @@ STABILIZATION_SLACK = 0.05
 FINAL_OVER_INITIAL = 0.1
 # log10 range of the radii drawn by the averaged weight bound
 DECADES = (-3.0, 3.0)
+# ball points per chunk in each witness's first average of the weight bound
+WEIGHT_INNER_SAMPLES = 64
 # unit-ball offsets shared by the outer points of a chunk in the maximal bound
 MAXIMAL_INNER_SAMPLES = 512
 COMMUTATION_REL_TOL = 1e-4
@@ -125,15 +127,12 @@ def _ladder_report(statement_id: str, knob: str, ladder: Sequence[float],
 # averaged weight bound (the one-sided A1-type condition)
 
 
-def reciprocal_weight_integrand(
-    kind: WeightKind, params: SpaceParams, X: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> 1 / Theta(X + shift(z)), vectorized over z of shape (m, n); the
-    shift moves each n-block of X (x, and y for the pair weight) by z."""
-    copies = 2 if kind is WeightKind.PAIR else 1
+def reciprocal_weight_integrand(c: float, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> |X + z|^(-c), vectorized over z of shape (m, n); 0 where X + z = 0
+    and c > 0, the power weight's convention of +inf at a zero point."""
 
     def f(z: np.ndarray) -> np.ndarray:
-        w = weight_value(kind, params, X + np.tile(z, copies))
+        w = _pow_weight(row_norm(X + z), c)
         return np.where(np.isfinite(w), 1.0 / np.where(w > 0, w, 1.0), 0.0)
 
     return f
@@ -144,39 +143,45 @@ def check_averaged_weight_bound(
     params: SpaceParams,
     trials: int,
     seed: int,
-    inner_samples: int = 64,
 ) -> dict:
-    """Sample (x, y, r) log-uniformly over the DECADES and measure the sup of
-    Theta(X) * (ball average of 1/Theta(X + shift(z)))."""
+    """Sample (x, r) log-uniformly over the DECADES and measure the sup of
+    |x|^c * (ball average of |x + z|^(-c)).
+
+    The point weight |x|^b (prop-4.2) has c = b.  The pair weight
+    |x|^a |y|^a (prop-4.1) has c = 2a: by Cauchy-Schwarz its product at
+    (x, y) is at most the geometric mean of the point products at x and y,
+    with equality on the diagonal y = x, so its sup is the point one and
+    its witness is recorded as (x, x).
+    """
     if trials < 1:
         raise ParameterOutOfRange(f"the averaged weight bound needs at least 1 trial, got {trials}")
     n = params.n
-    sid = "prop-4.1" if kind is WeightKind.PAIR else "prop-4.2"
+    if kind is WeightKind.PAIR:
+        sid, c, copies = "prop-4.1", 2.0 * params.a, 2
+    else:
+        sid, c, copies = "prop-4.2", params.b, 1
     rng = _chunk_rng(seed, 1_000_003)
     lo, hi = DECADES
     witnesses = []
     for _ in range(trials):
         rx = 10.0 ** rng.uniform(lo, hi)
         r = 10.0 ** rng.uniform(lo, hi)
-        X = _directions(rng, 1, n)[0] * rx
-        if kind is WeightKind.PAIR:
-            ry = 10.0 ** rng.uniform(lo, hi)
-            X = np.concatenate([X, _directions(rng, 1, n)[0] * ry])
-        witnesses.append((X, r))
+        witnesses.append((_directions(rng, 1, n)[0] * rx, r))
 
     def product(j: int, samples: int, stream: int) -> float:
-        """Theta(X) * (ball average) at witness j, from the given stream."""
-        X, r = witnesses[j]
-        f = reciprocal_weight_integrand(kind, params, X)
+        """|x|^c * (ball average) at witness j, from the given stream."""
+        x, r = witnesses[j]
+        f = reciprocal_weight_integrand(c, x)
         est = ball_average(f, n, r, QuadratureSpec(samples=samples, seed=stream), label=sid)
-        return float(weight_value(kind, params, X)) * est.value
+        return float(_pow_weight(row_norm(x), c)) * est.value
 
-    products = np.array([product(j, inner_samples * N_CHUNKS, seed + j) for j in range(trials)])
+    inner = WEIGHT_INNER_SAMPLES * N_CHUNKS
+    products = np.array([product(j, inner, seed + j) for j in range(trials)])
     # the heavy right tail of the singular ball averages makes single-trial
     # maxima overshoot; re-estimate the top candidates of all trials and of
     # the first half with a much larger inner budget, each candidate once, so
     # the verdict compares the landscape, not the per-trial noise
-    refine = inner_samples * N_CHUNKS * 32
+    refine = inner * 32
     top_k = min(16, trials)
     top_all = [int(j) for j in np.argsort(products)[::-1][:top_k]]
     top_first = [int(j) for j in np.argsort(products[: trials // 2])[::-1][:top_k]]
@@ -187,11 +192,11 @@ def check_averaged_weight_bound(
     max_all = refined[idx]
     max_first = max(refined[j] for j in top_first) if top_first else max_all
     stable = max_all <= (1.0 + STABILIZATION_SLACK) * max_first
-    wX, wr = witnesses[idx]
+    wx, wr = witnesses[idx]
     return {
         "statement_id": sid,
         "measured_constant": max_all,
-        "witness": {"X": list(map(float, wX)), "r": float(wr), "trial": idx},
+        "witness": {"X": list(map(float, wx)) * copies, "r": float(wr), "trial": idx},
         "trials": trials,
         "verdict": "BoundedStable" if stable else "Unstable",
         "params": params,
@@ -200,7 +205,7 @@ def check_averaged_weight_bound(
             "kind": kind.value,
             "max_first_half": max_first,
             "unit_ball_volume": ball_volume(n),
-            "inner_samples": inner_samples * N_CHUNKS,
+            "inner_samples": inner,
             "refined_inner_samples": refine,
             "top_candidates_refined": top_k,
             "decades": list(DECADES),

@@ -118,22 +118,54 @@ def test_criterion_03_commutation_identity(acceptance_line):
     assert ok
 
 
+def _exact_averaged_weight_constant_n2(c: float) -> float:
+    """sup over rho of F_c(rho) = rho^c * int_{B_1(rho e1)} |w|^(-c) dw in
+    n = 2, by circles |w| = t: the whole circle for t < 1 - rho, and the
+    arc 2 arccos((t^2 + rho^2 - 1) / (2 t rho)) for |1 - rho| < t < 1 + rho."""
+    from scipy.integrate import quad
+    from scipy.optimize import minimize_scalar
+
+    def F(rho):
+        def arc(t):
+            return 2.0 * np.arccos(np.clip((t * t + rho * rho - 1.0) / (2.0 * t * rho), -1.0, 1.0))
+
+        inner = 2.0 * np.pi * (1.0 - rho) ** (2.0 - c) / (2.0 - c) if rho < 1.0 else 0.0
+        outer, _ = quad(lambda t: t ** (1.0 - c) * arc(t), abs(1.0 - rho), 1.0 + rho,
+                        epsabs=0.0, epsrel=1e-12, limit=200)
+        return rho ** c * (inner + outer)
+
+    res = minimize_scalar(lambda rho: -F(rho), bounds=(0.25, 2.0), method="bounded",
+                          options={"xatol": 1e-10})
+    return -res.fun
+
+
 def test_criterion_04_averaged_weight_bound(acceptance_line):
-    """(n,s,p,a)=(2,0.5,2,0.3), 1e4 trials over 6 decades -> BoundedStable;
-    a=0 gives exactly the unit-ball volume pi for both weight kinds."""
+    """(n,s,p,a)=(2,0.5,2,0.3), 1e4 trials over 6 decades -> BoundedStable,
+    near the exact sup of the point product at c = 2a (pair) and c = b
+    (point); a=0 gives exactly the unit-ball volume pi for both weight kinds."""
     params = validate_params(2, 0.5, 2.0, 0.3)
     params0 = validate_params(2, 0.5, 2.0, 0.0)
+    # POINT has c = b = 1.2 > n/2, so |x + z|^(-c) has infinite variance on
+    # the ball: the refined ball averages are heavy-tailed, and their max
+    # overshoots the exact sup (5.1652 against 5.10778, +1.1%); PAIR's
+    # c = 2a = 0.6 < n/2 has finite variance
+    tolerance = {WeightKind.PAIR: 0.005, WeightKind.POINT: 0.015}
+    exponent = {WeightKind.PAIR: 2.0 * params.a, WeightKind.POINT: params.b}
     ok = True
     consts = {}
+    exact = {}
     for kind in (WeightKind.PAIR, WeightKind.POINT):
         rep = check_averaged_weight_bound(kind, params, trials=10_000, seed=SEED)
-        ok = ok and rep["verdict"] == "BoundedStable" and np.isfinite(rep["measured_constant"])
         consts[kind.value] = rep["measured_constant"]
+        exact[kind.value] = _exact_averaged_weight_constant_n2(exponent[kind])
+        ok = ok and rep["verdict"] == "BoundedStable"
+        ok = ok and abs(consts[kind.value] / exact[kind.value] - 1.0) <= tolerance[kind]
         rep0 = check_averaged_weight_bound(kind, params0, trials=1000, seed=SEED)
         ok = ok and abs(rep0["measured_constant"] - np.pi) <= 1e-12
     acceptance_line(
         f"[criterion-04] averaged weight bound (1e4 trials, constants "
-        f"pair {consts['pair']:.3f} point {consts['point']:.3f}, a=0 == pi): "
+        f"pair {consts['pair']:.4f} (exact {exact['pair']:.5f}, tol 0.5%) "
+        f"point {consts['point']:.4f} (exact {exact['point']:.5f}, tol 1.5%), a=0 == pi): "
         f"{'PASS' if ok else 'FAIL'}"
     )
     assert ok

@@ -240,7 +240,7 @@ def test_monte_carlo_only_statements_refuse_the_oracle(sid, tmp_path, capsys):
 GOLDEN_RECORDS = {
     "lemma-2.1": "b0cc6d00bb2ce5c53a7ff295bd5148b257d3c9a357b416e85020716b67748ec5",
     "lemma-3.1": "97228b11f7b040f87513535ce6bf1c29c8d7bbda967d3c47259784ee1f8843e9",
-    "prop-4.1": "43de0286009b9f179a1e6100c2211cbb6d0e5947bc978c6a791b74e7a89de089",
+    "prop-4.1": "1ff93b3b6471c19c560de07d3bd219691d55333086adbd96bca61e6331557ab9",
     "prop-4.2": "68aa2fb408fef4b04d3437e4f0c50ba5e8a3b6768d0ae524821fa108113a31fd",
     "lemma-4.3": "377152d0fe6cdb56e2572e87cfaef6b574013772e483f437f30df346d2b61422",
     "prop-4.4": "c9f82725686919e167b243462dac3faa2735ae87032d2829f59371676df9e4a0",
@@ -259,7 +259,7 @@ GOLDEN_RECORDS = {
 # the same at n=2, for the statements whose code runs on 2-d point arrays,
 # at 1,024 samples, 20 trials and conv grid 16
 GOLDEN_RECORDS_N2 = {
-    "prop-4.1": "bb69734e622cf1421331c653d0ed519971718d3a6e7cf062b5ebd38ed8873878",
+    "prop-4.1": "0c6443526f9b17e539f5b4d043dafc9b6ea32b3afb8e4bf3530eb12a1a5220e9",
     "prop-4.2": "cc61ed34f647b1a653d64f8b0d627a2b0cd0356699b46ea0f7d37189e2d3cc44",
     "lemma-4.3": "5a43dc8f51c17d7e661f5b4968b54c8e1cf45553712c495fcac41d569d297d8a",
     "prop-4.4": "6202f461cdf0c3b6e35f7e4354919d501cf33e8493df117a2d1d55aa7e3cae35",

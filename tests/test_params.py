@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from sobolev_wlab import (
     RangeViolation,
-    WeightKind,
     validate_general_weights,
     validate_params,
-    weight_value,
 )
 from sobolev_wlab.params import row_norm
 
@@ -67,22 +65,6 @@ def test_general_weights():
     for bad in ((-0.6, 0.0), (0.0, -0.6), (0.5, 0.5), (1.0, -0.5)):
         with pytest.raises(RangeViolation):
             validate_general_weights(sp, *bad)
-
-
-def test_weight_value_pair_and_point():
-    sp = validate_params(1, 0.3, 2.0, 0.1)
-    X = np.array([[2.0, 3.0], [1.0, 1.0]])
-    got = weight_value(WeightKind.PAIR, sp, X)
-    assert got == pytest.approx([2.0**0.1 * 3.0**0.1, 1.0])
-    pt = weight_value(WeightKind.POINT, sp, np.array([[2.0]]))
-    assert pt == pytest.approx([2.0**sp.b])
-
-
-def test_weight_value_zero_block_convention():
-    sp = validate_params(1, 0.3, 2.0, 0.1)
-    assert weight_value(WeightKind.POINT, sp, np.array([[0.0]]))[0] == np.inf
-    sp0 = validate_params(1, 0.3, 2.0, 0.0)
-    assert weight_value(WeightKind.POINT, sp0, np.array([[0.0]]))[0] == 1.0
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -32,6 +32,7 @@ from sobolev_wlab import (
 )
 from sobolev_wlab import verification
 from sobolev_wlab.fields import PairField, default_cutoff, default_mollifier
+from sobolev_wlab.quadrature import _ball_points, ball_average
 from sobolev_wlab.verification import reciprocal_weight_integrand
 
 
@@ -46,22 +47,22 @@ def pair_constant(c: float) -> PairField:
 
 def test_averaged_bound_a_zero_is_ball_volume():
     params = validate_params(2, 0.5, 2.0, 0.0)
-    rep = check_averaged_weight_bound(WeightKind.PAIR, params, trials=40, seed=3, inner_samples=32)
+    rep = check_averaged_weight_bound(WeightKind.PAIR, params, trials=40, seed=3)
     assert rep["measured_constant"] == pytest.approx(np.pi)
     assert rep["verdict"] == "BoundedStable"
 
 
 def test_averaged_bound_reproducible():
     params = validate_params(2, 0.5, 2.0, 0.3)
-    a = check_averaged_weight_bound(WeightKind.PAIR, params, trials=60, seed=5, inner_samples=32)
-    b = check_averaged_weight_bound(WeightKind.PAIR, params, trials=60, seed=5, inner_samples=32)
+    a = check_averaged_weight_bound(WeightKind.PAIR, params, trials=60, seed=5)
+    b = check_averaged_weight_bound(WeightKind.PAIR, params, trials=60, seed=5)
     assert a["measured_constant"] == b["measured_constant"]
     assert a["witness"] == b["witness"]
 
 
 @pytest.mark.parametrize("kind,constant,first_half,trial", [
-    (WeightKind.PAIR, "0x1.92cf9f9cd87f6p+1", "0x1.928ba01ce0564p+1", 55),
-    (WeightKind.POINT, "0x1.989bfd420119dp+1", "0x1.968cb27b327c0p+1", 43),
+    (WeightKind.PAIR, "0x1.93b53ce5ad363p+1", "0x1.9270d8e84c0dbp+1", 43),
+    (WeightKind.POINT, "0x1.98b6da6f21b29p+1", "0x1.96ab2d7fe8932p+1", 43),
 ])
 def test_averaged_bound_refines_each_candidate_once(kind, constant, first_half, trial, monkeypatch):
     """One ball average per trial and one per distinct refined candidate,
@@ -74,10 +75,10 @@ def test_averaged_bound_refines_each_candidate_once(kind, constant, first_half, 
         return original(f, n, r, spec, label=label)
 
     monkeypatch.setattr(verification, "ball_average", counting)
-    trials, seed, inner = 60, 5, 32
+    trials, seed = 60, 5
     params = validate_params(2, 0.5, 2.0, 0.1)
-    rep = check_averaged_weight_bound(kind, params, trials=trials, seed=seed, inner_samples=inner)
-    refined = [spec.seed for spec in calls if spec.samples > inner * 64]
+    rep = check_averaged_weight_bound(kind, params, trials=trials, seed=seed)
+    refined = [spec.seed for spec in calls if spec.samples > verification.WEIGHT_INNER_SAMPLES * 64]
     assert len(refined) == len(set(refined))
     assert len(calls) == trials + len(set(refined))
     # the two top-16 lists overlap here, so refining each list apart would
@@ -89,22 +90,53 @@ def test_averaged_bound_refines_each_candidate_once(kind, constant, first_half, 
 
 
 def test_averaged_bound_scale_covariance():
-    """Theta(X) * ball-average is invariant under (x,y,r) -> (lx,ly,lr)."""
+    """|x|^c * ball-average of |x + z|^(-c) is invariant under
+    (x, r) -> (lx, lr), for the pair exponent 2a and the point exponent b."""
     params = validate_params(2, 0.5, 2.0, 0.3)
-    from sobolev_wlab.quadrature import ball_average
-    from sobolev_wlab.params import weight_value
+    x = np.array([0.7, -0.2])
+    for c in (2.0 * params.a, params.b):
+        for lam in (0.5, 2.0):
+            prods = []
+            for scale, r in ((1.0, 0.8), (lam, lam * 0.8)):
+                X = scale * x
+                f = reciprocal_weight_integrand(c, X)
+                # common random numbers via shared seed; the z-samples rescale
+                # exactly with r, so only MC noise differs
+                est = ball_average(f, 2, r, QuadratureSpec(samples=64000, seed=11))
+                prods.append(float(np.linalg.norm(X)) ** c * est.value)
+            assert abs(prods[0] - prods[1]) <= 0.05 * prods[0]
 
-    x = np.array([0.7, -0.2, 1.1, 0.4])
-    for lam in (0.5, 2.0):
-        prods = []
-        for scale, r in ((1.0, 0.8), (lam, lam * 0.8)):
-            X = scale * x
-            f = reciprocal_weight_integrand(WeightKind.PAIR, params, X)
-            # common random numbers via shared seed; the z-samples rescale
-            # exactly with r, so only MC noise differs
-            est = ball_average(f, 2, r, QuadratureSpec(samples=64000, seed=11))
-            prods.append(float(weight_value(WeightKind.PAIR, params, X)) * est.value)
-        assert abs(prods[0] - prods[1]) <= 0.05 * prods[0]
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_product_is_at_most_the_point_products_geometric_mean(n):
+    """The reduction of the pair weight to the point weight at c = 2a: on one
+    shared batch of ball points z, Cauchy-Schwarz bounds the empirical pair
+    product |x|^a |y|^a mean(|x+z|^(-a) |y+z|^(-a)) by sqrt(P(x) P(y)), with
+    P the point product at c = 2a, and the two agree on the diagonal."""
+    a = 0.3
+    rng = np.random.default_rng(n)
+
+    def point_product(x, z):
+        return np.linalg.norm(x) ** (2 * a) * reciprocal_weight_integrand(2 * a, x)(z).mean()
+
+    for _ in range(200):
+        x, y = (rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2) for _ in range(2))
+        z = _ball_points(rng.random(256), rng.standard_normal((256, n)), 10.0 ** rng.uniform(-2, 2))
+        f_x, f_y = (reciprocal_weight_integrand(a, w)(z) for w in (x, y))
+        pair = (np.linalg.norm(x) * np.linalg.norm(y)) ** a * (f_x * f_y).mean()
+        assert pair <= np.sqrt(point_product(x, z) * point_product(y, z)) * (1 + 1e-12)
+        diagonal = np.linalg.norm(x) ** (2 * a) * (f_x * f_x).mean()
+        assert diagonal == pytest.approx(point_product(x, z), rel=1e-12)
+
+
+def test_reciprocal_weight_integrand_zero_point_convention():
+    """At z = -x the integrand is 0 for c > 0 (the weight is +inf there) and
+    1 for c = 0."""
+    x = np.array([0.5, -1.0])
+    z = np.array([[-0.5, 1.0], [0.0, 0.0]])
+    zero, away = reciprocal_weight_integrand(0.4, x)(z)
+    assert zero == 0.0 and away == pytest.approx(1.25 ** -0.2)
+    assert reciprocal_weight_integrand(0.0, x)(z).tolist() == [1.0, 1.0]
 
 
 def test_maximal_bound_zero_field(params1d, fast_spec):
