@@ -104,6 +104,15 @@ def _list(item):
     return parse
 
 
+def _finite(text: str) -> float:
+    """A finite float: a range check written as a comparison (``x <= 0``)
+    passes nan, and none of them refuses inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _bool(text: str) -> bool:
     word = text.strip().lower()
     if word not in ("1", "true", "yes", "0", "false", "no"):
@@ -116,20 +125,20 @@ def _bool(text: str) -> bool:
 _OPTIONS = {
     "field": ("smooth_bump(R=1)", str),
     "n": (1, int),
-    "s": (0.3, float),
-    "p": (2.0, float),
-    "a": (0.1, float),
+    "s": (0.3, _finite),
+    "p": (2.0, _finite),
+    "a": (0.1, _finite),
     "method": (METHOD_MONTE_CARLO, _choice(METHOD_MONTE_CARLO, METHOD_TENSOR_ORACLE)),
     "samples": (64000, int),
     "grid_points": (4096, int),
     "seed": (0, int),
-    "outer_radius": (None, float),
-    "j": (1.0, float),
-    "eps": (0.1, float),
+    "outer_radius": (None, _finite),
+    "j": (1.0, _finite),
+    "eps": (0.1, _finite),
     "conv_grid": (128, int),
     "trials": (2000, int),
-    "delta_frac": (0.2, float),
-    "ladder": (None, _list(float)),
+    "delta_frac": (0.2, _finite),
+    "ladder": (None, _list(_finite)),
     "reversed_ladder": (False, _bool),
     "param": (None, _choice("n", "s", "p", "a", "seed", "samples")),
     "values": (None, _list(str)),

@@ -355,8 +355,8 @@ def default_cutoff() -> CutoffProfile:
 
 def cutoff_tau_j(profile: CutoffProfile, j: float) -> ScalarField:
     """Rescaled cutoff: 1 on B_j, 0 outside B_{2j}, values in [0,1]."""
-    if j <= 0:
-        raise ParameterOutOfRange(f"cutoff scale j must be positive, got {j}")
+    if not (0 < j < np.inf):
+        raise ParameterOutOfRange(f"cutoff scale j must be positive and finite, got {j}")
     return ScalarField(
         label=f"tau_j(j={j})",
         evaluator=lambda x, _p=profile, _j=float(j): _p.radial(row_norm(x) / _j),

@@ -248,6 +248,12 @@ class _RadialMixture:
     Ball component: density proportional to r^(-c) on B_R (requires c < n).
     Tail component: radial Pareto with index t on r >= 1.  Together they
     cover all of R^n with a strictly positive density.
+
+    Every importance-sampling proposal of the package is one of these: the
+    scalar estimator's x, the pair estimator's x and z, and lemma-4.3's.
+    The pair estimator's z takes c = n - kappa and R = 1, a density
+    proportional to r^(kappa - n) on B_1 (radial index kappa) matched to
+    the singular kernel.
     """
 
     n: int
@@ -274,38 +280,6 @@ class _RadialMixture:
         q_ball = np.where(r <= self.R, z_ball * r ** (-self.c), 0.0)
         q_tail = np.where(r >= 1.0, self.t / omega * r ** (-self.t - self.n), 0.0)
         return 0.5 * q_ball + 0.5 * q_tail
-
-
-@dataclass(frozen=True)
-class _NearFarMixture:
-    """Radial mixture matched to the singular kernel in the z variable.
-
-    Near part: density proportional to r^(kappa - n) on the unit ball
-    (radial index kappa); far part: Pareto with index t.
-    """
-
-    n: int
-    kappa: float
-    t: float
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise NonNormalizableDensity(f"near exponent {self.kappa} must be positive")
-        if self.t <= 0:
-            raise NonNormalizableDensity(f"tail exponent {self.t} must be positive")
-
-    def sample_radii(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        take_near = rng.random(m) < 0.5
-        u = _guard_unit(rng.random(m))
-        r_near = u ** (1.0 / self.kappa)
-        r_far = u ** (-1.0 / self.t)
-        return np.where(take_near, r_near, r_far)
-
-    def density(self, r: np.ndarray) -> np.ndarray:
-        omega = sphere_area(self.n)
-        q_near = np.where(r <= 1.0, self.kappa / omega * r ** (self.kappa - self.n), 0.0)
-        q_far = np.where(r >= 1.0, self.t / omega * r ** (-self.t - self.n), 0.0)
-        return 0.5 * q_near + 0.5 * q_far
 
 
 def _on_workers(task: Callable[[int], object], count: int) -> list:
@@ -452,13 +426,13 @@ def estimate_pair_integral_singular(
 
     for a nonnegative symmetric g, g(y, x) == g(x, y), concentrated near
     the diagonal (its far field must decay at least like the fractional
-    kernel, radially |z|^(-n-sp) in z = y - x).  Sampling: x from a
-    weighted ball + Pareto mixture, z from a near-singularity power density
-    of radial index ``kappa`` + Pareto tail, evaluated in antithetic pairs
-    (z, -z).  The tail index of both
-    is s*p shifted down by any negative weight exponent so the
-    importance weights stay bounded.  By the symmetry g is evaluated once
-    per sign and serves both argument orders.
+    kernel, radially |z|^(-n-sp) in z = y - x).  Sampling: x and z each
+    from a ``_RadialMixture``, x weighted on B_R and z with density
+    proportional to |z|^(kappa - n) on B_1 (ball exponent n - kappa),
+    evaluated in antithetic pairs (z, -z).  The tail index of both is s*p
+    shifted down by any negative weight exponent so the importance weights
+    stay bounded.  By the symmetry g is evaluated once per sign and serves
+    both argument orders.
 
     g must broadcast its arguments: it is called once per group as
     g(x, ys), x of shape (m, n) and ys = [x + z, x - z] of shape (2, m, n),
@@ -474,7 +448,7 @@ def estimate_pair_integral_singular(
         raise NonNormalizableDensity(f"derived tail index {t} not normalizable")
     # ball density follows the stronger weight singularity (valid below n)
     mix_x = _RadialMixture(n=n, c=max(alpha, beta), R=R, t=t)
-    mix_z = _NearFarMixture(n=n, kappa=kappa, t=t)
+    mix_z = _RadialMixture(n=n, c=n - kappa, R=1.0, t=t)
     digest = spec.digest(f"pair:{label}:a={alpha}:b={beta}:sp={sp}:kap={kappa}")
 
     def draw(rng, m):

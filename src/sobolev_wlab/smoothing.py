@@ -98,8 +98,8 @@ def _radial_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
 
     Cached on the profile itself (a frozen dataclass), which the cache keeps
     alive, so a new profile never receives the nodes of a freed one."""
-    if epsilon <= 0:
-        raise ParameterOutOfRange(f"epsilon must be positive, got {epsilon}")
+    if not (0 < epsilon < np.inf):
+        raise ParameterOutOfRange(f"epsilon must be positive and finite, got {epsilon}")
     if n != profile.n:
         raise ParameterOutOfRange(f"profile built for n={profile.n}, requested n={n}")
     if n not in (1, 2, 3):

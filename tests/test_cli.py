@@ -37,8 +37,10 @@ def test_norm_pass_and_json(tmp_path, capsys):
 @pytest.mark.parametrize("args,message", [
     (["norm", "--n", "1", "--s", "0.5", "--p", "2", "--a", "0"], "s*p < n"),
     (["norm", *BASE, "--samples", "1000"], "multiple of the 64 chunks"),
-    # the proposal would leave part of R^n at zero density, or be NaN
-    *((["norm", *BASE, "--samples", "6400", "--outer-radius", r], "covers R^n")
+    # the proposal would leave part of R^n at zero density; the parser
+    # refuses a value that is not finite before the spec sees it
+    *((["norm", *BASE, "--samples", "6400", "--outer-radius", r],
+       "covers R^n" if r not in ("nan", "inf") else "expected a finite number")
       for r in ("0", "-2", "nan", "inf", "0.5")),
     *((["verify", "prop-4.1", *BASE, "--trials", t], "trial") for t in ("0", "-3")),
     *((["verify", "lemma-6.1", *BASE, "--samples", "6400", "--conv-grid", m], "convolution grid")
@@ -91,6 +93,25 @@ def test_malformed_value_exit_2(args, config, bad, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid" in err and repr(bad) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["approx", "--eps", "nan"],
+    ["approx", "--j", "inf"],
+    ["verify", "lemma-3.1", "--ladder", "1,inf"],
+    ["approx", "--j", "nan"],
+    ["approx", "--eps", "inf"],
+    ["verify", "theorem-1.1", "--delta-frac", "nan"],
+    ["verify", "lemma-6.1", "--ladder", "1,nan"],
+], ids=["eps-nan", "j-inf", "ladder-inf", "j-nan", "eps-inf", "delta-frac-nan", "ladder-nan"])
+def test_non_finite_value_exit_2(args, tmp_path, capsys):
+    """nan passes a range check written as a comparison, and inf passes
+    them all, so the parser refuses both before anything runs: at eps = nan
+    the convolution would be 0 everywhere and the run would record ||u||
+    as its error, and "Pass"."""
+    assert main([*args, *BASE, "--samples", "6400", "--out", str(tmp_path)]) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # a value other than the default for every option

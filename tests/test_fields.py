@@ -119,8 +119,9 @@ def test_cutoff_profile(rng):
     assert vals[0] == 1.0 and vals[1] == 1.0 and vals[2] == 1.0
     assert 0.0 < vals[3] < 1.0
     assert vals[4] == 0.0 and vals[5] == 0.0
-    with pytest.raises(ParameterOutOfRange):
-        cutoff_tau_j(default_cutoff(), 0.0)
+    for j in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterOutOfRange):
+            cutoff_tau_j(default_cutoff(), j)
 
 
 def test_cutoff_is_exactly_one_on_b1_and_zero_beyond_b2():

@@ -31,7 +31,6 @@ from sobolev_wlab import (
 from sobolev_wlab.fields import default_cutoff, default_mollifier, subtract
 from sobolev_wlab.quadrature import (
     METHOD_TENSOR_ORACLE,
-    _NearFarMixture,
     _RadialMixture,
     _chunk_rng,
     _switch_stream,
@@ -257,10 +256,57 @@ def test_mixture_densities_normalized():
     from sobolev_wlab.fields import sphere_area
 
     for mix, n in ((_RadialMixture(n=2, c=0.3, R=5.0, t=1.2), 2),
-                   (_NearFarMixture(n=1, kappa=0.8, t=0.6), 1)):
+                   (_RadialMixture(n=1, c=0.2, R=1.0, t=0.6), 1)):
         omega = sphere_area(n)
         total, _ = quad(lambda r: omega * r ** (n - 1) * mix.density(np.array([r]))[0], 0, np.inf, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def _near_far_radii(rng, m, kappa, t):
+    """The pair estimator's z radii written in their radial index kappa:
+    u^(1/kappa) on B_1 or the Pareto tail u^(-1/t), by a fair coin."""
+    take_near = rng.random(m) < 0.5
+    u = np.maximum(rng.random(m), 1e-300)
+    return np.where(take_near, u ** (1.0 / kappa), u ** (-1.0 / t))
+
+
+def _near_far_density(r, n, kappa, t):
+    """Their density: kappa/omega r^(kappa - n) on B_1, half and half with
+    the tail's t/omega r^(-t - n) on r >= 1."""
+    from sobolev_wlab.fields import sphere_area
+
+    omega = sphere_area(n)
+    q_near = np.where(r <= 1.0, kappa / omega * r ** (kappa - n), 0.0)
+    q_far = np.where(r >= 1.0, t / omega * r ** (-t - n), 0.0)
+    return 0.5 * q_near + 0.5 * q_far
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kappa", [1.4, 2.25, 1.0])
+def test_z_proposal_matches_its_radial_index_form_to_the_bit(kappa, n):
+    """The z proposal is the ball mixture at c = n - kappa, R = 1, and
+    wherever n - (n - kappa) == kappa in binary, as for every kappa = p(1 - s)
+    of the goldens and the benchmark, it draws and weighs to the bit what
+    the kappa form does."""
+    t = 0.6
+    assert n - (n - kappa) == kappa
+    mix = _RadialMixture(n=n, c=n - kappa, R=1.0, t=t)
+    r = mix.sample_radii(_chunk_rng(11, 3), 4096)
+    assert np.array_equal(r, _near_far_radii(_chunk_rng(11, 3), 4096, kappa, t))
+    r = np.concatenate([r, [1.0, 1e-12]])
+    assert np.array_equal(mix.density(r), _near_far_density(r, n, kappa, t))
+
+
+def test_z_proposal_matches_its_radial_index_form_at_rounding_level():
+    """Where n - (n - kappa) != kappa (n = 2, s = 0.1, p = 1.1) the two forms
+    take exponents an ulp apart, so radii and densities agree to rounding."""
+    n, kappa, t = 2, 1.1 * (1.0 - 0.1), 0.6
+    assert n - (n - kappa) != kappa
+    mix = _RadialMixture(n=n, c=n - kappa, R=1.0, t=t)
+    r = mix.sample_radii(_chunk_rng(11, 3), 4096)
+    ref = _near_far_radii(_chunk_rng(11, 3), 4096, kappa, t)
+    np.testing.assert_allclose(r, ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(mix.density(ref), _near_far_density(ref, n, kappa, t), rtol=1e-12, atol=0.0)
 
 
 def test_estimate_roundtrip_dict():

@@ -78,6 +78,10 @@ def test_conv_nodes_dimension_guard():
         conv_nodes(default_mollifier(1), 0.5, 4, 128)
     with pytest.raises(ParameterOutOfRange):
         conv_nodes(default_mollifier(2), 0.5, 1, 128)
+    # at eps = nan every convolution would short-circuit to 0
+    for epsilon in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterOutOfRange, match="epsilon"):
+            conv_nodes(default_mollifier(1), epsilon, 1, 128)
 
 
 def _reference_convolution(u: ScalarField, n: int, epsilon: float, r: np.ndarray) -> np.ndarray:

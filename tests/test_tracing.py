@@ -1,24 +1,33 @@
-"""The benchmark's traced run (`perfbench/run.py --trace 1`) wraps package
-functions by replacing the module attributes their callers look up.  A
-rename, or a call that bypasses the looked-up name, would break only that
-run; this checks the names and the call path from the test suite."""
+"""The benchmark calls the package from outside: its workloads
+(`perfbench/workloads.py`) through public functions, fields rebuilt with
+``dataclasses.replace`` and the CLI, and its traced run
+(`perfbench/run.py --trace 1`) by replacing the module attributes their
+callers look up.  A rename, a changed signature or a call that bypasses
+the looked-up name would break only the benchmark; this runs those calls,
+from the unedited benchmark files, in the test suite."""
 
 import importlib.util
 import os
 import sys
 
+import pytest
+
 from sobolev_wlab import WeightKind, cli, norms, smoothing, validate_params, verification
 
-TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their annotations through sys.modules
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.Tracer()
+    return module
+
+
+def _tracer():
+    return _perfbench("tracing").Tracer()
 
 
 def test_tracer_installs_restores_and_times_the_weight_bound():
@@ -43,3 +52,35 @@ def test_tracer_installs_restores_and_times_the_weight_bound():
     assert len(bound) == 1
     assert len(balls) == 8
     assert all(s.parent == bound[0] for s in balls)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench("workloads")
+
+
+@pytest.mark.parametrize("workload", ["norm-mc", "approx-conv", "oracle-1d", "verify-weights"])
+def test_benchmark_op_passes_its_check_and_repeats(workload, workloads, tmp_path):
+    """The first op of a workload's first cycle runs as the benchmark runs
+    it, passes the benchmark's check and repeats its output to the bit."""
+    ctx = workloads.setup(workload, str(tmp_path))
+    op = workloads.OpStream(workload, 7).next_cycle()[0]
+    first = workloads.run_op(op, ctx)
+    assert workloads.check_op(op, first, ctx.references) is None
+    assert workloads.run_op(op, ctx).fingerprint() == first.fingerprint()
+
+
+def test_benchmark_traced_op_is_bit_identical(workloads, tmp_path):
+    """The traced run times every field evaluation through a field rebuilt
+    with a timed evaluator, and must change no output bit."""
+    ctx = workloads.setup("norm-mc", str(tmp_path))
+    op = workloads.OpStream("norm-mc", 7).next_cycle()[0]
+    untraced = workloads.run_op(op, ctx)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        traced = tracer.run_op(lambda: workloads.run_op(op, ctx, wrap_field=tracer.wrap_field))
+    finally:
+        tracer.restore()
+    assert any(span.name == "fields.eval" for span in tracer.spans)
+    assert traced.fingerprint() == untraced.fingerprint()
