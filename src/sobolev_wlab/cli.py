@@ -113,13 +113,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _bool(text: str) -> bool:
-    word = text.strip().lower()
-    if word not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError("expected true or false")
-    return word in ("1", "true", "yes")
-
-
 # every option: its default and the parser of its flag, config-file and
 # environment text; --param and --values belong to sweep only
 _OPTIONS = {
@@ -132,14 +125,12 @@ _OPTIONS = {
     "samples": (64000, int),
     "grid_points": (4096, int),
     "seed": (0, int),
-    "outer_radius": (None, _finite),
     "j": (1.0, _finite),
     "eps": (0.1, _finite),
     "conv_grid": (128, int),
     "trials": (2000, int),
     "delta_frac": (0.2, _finite),
     "ladder": (None, _list(_finite)),
-    "reversed_ladder": (False, _bool),
     "param": (None, _choice("n", "s", "p", "a", "seed", "samples")),
     "values": (None, _list(str)),
     "out": ("results", str),
@@ -189,11 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for key, (_, parse) in _OPTIONS.items():
         group = sweep_only if key in _SWEEP_ONLY else shared
         flag = "--" + key.replace("_", "-")
-        if parse is _bool:
-            # a bare flag; its text goes through the parser like any other
-            group.add_argument(flag, action="store_const", const="true", default=None)
-        else:
-            group.add_argument(flag, choices=getattr(parse, "choices", None), default=None)
+        group.add_argument(flag, choices=getattr(parse, "choices", None), default=None)
 
     parser = argparse.ArgumentParser(prog="sobolev-wlab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -251,18 +238,13 @@ def _spec(options: dict) -> QuadratureSpec:
         samples=options["samples"],
         grid_points=options["grid_points"],
         seed=options["seed"],
-        outer_radius=options["outer_radius"],
     )
 
 
 def _float_ladder(options: dict, default: list) -> list:
     if options["ladder"] is None:
-        ladder = list(default)
-    else:
-        ladder = [float(v) for v in options["ladder"]]
-    if options["reversed_ladder"]:
-        ladder = ladder[::-1]
-    return ladder
+        return list(default)
+    return [float(v) for v in options["ladder"]]
 
 
 def _write(config: RunConfig, outputs: dict, verdicts: list, stem: str) -> list:
@@ -339,7 +321,7 @@ def _run_verify(config: RunConfig) -> tuple:
     elif sid == "lemma-4.3":
         base = hat_1d_field() if params.n == 1 else smooth_bump_field(1.0)
         V = lift_difference_quotient(base, params)
-        rep = check_maximal_bound(V, params, params.p, [0.1, 1.0, 10.0], spec)
+        rep = check_maximal_bound(V, params, spec)
     elif sid in ("prop-4.4", "prop-4.5"):
         u = field_from_spec(opts["field"], space=params)
         entry = lift_difference_quotient(u, params) if sid == "prop-4.4" else u
@@ -356,7 +338,7 @@ def _run_verify(config: RunConfig) -> tuple:
     elif sid == "eq-6.4":
         u = field_from_spec(opts["field"], space=params)
         rep = check_commutation_identity(
-            u, params, opts["eps"], 100, opts["seed"], default_mollifier(params.n), opts["conv_grid"]
+            u, params, opts["eps"], opts["seed"], default_mollifier(params.n), opts["conv_grid"]
         )
     elif sid == "lemma-6.1":
         u = field_from_spec(opts["field"], space=params)

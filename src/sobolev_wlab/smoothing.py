@@ -91,6 +91,15 @@ def truncate(u: ScalarField, j: float, profile: CutoffProfile) -> ScalarField:
     return replace(w, evaluator=u.evaluator) if u.support_radius <= j else w
 
 
+def _check_rule(epsilon: float, m: int) -> None:
+    """Refuse a mollifier width or a radial node count the rule cannot use;
+    a convolved field checks both when it is built, not when first called."""
+    if not (0 < epsilon < np.inf):
+        raise ParameterOutOfRange(f"epsilon must be positive and finite, got {epsilon}")
+    if m < 1:
+        raise ParameterOutOfRange(f"convolution grid needs at least 1 radial node, got {m}")
+
+
 @lru_cache(maxsize=32)
 def _radial_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
     """Gauss-Legendre nodes t on (0, epsilon) and their weights times
@@ -98,14 +107,11 @@ def _radial_nodes(profile: MollifierProfile, epsilon: float, n: int, m: int):
 
     Cached on the profile itself (a frozen dataclass), which the cache keeps
     alive, so a new profile never receives the nodes of a freed one."""
-    if not (0 < epsilon < np.inf):
-        raise ParameterOutOfRange(f"epsilon must be positive and finite, got {epsilon}")
+    _check_rule(epsilon, m)
     if n != profile.n:
         raise ParameterOutOfRange(f"profile built for n={profile.n}, requested n={n}")
     if n not in (1, 2, 3):
         raise ParameterOutOfRange(f"deterministic convolution is implemented for n <= 3, got n={n}")
-    if m < 1:
-        raise ParameterOutOfRange(f"convolution grid needs at least 1 radial node, got {m}")
     s, ws = leggauss(m)
     t = 0.5 * epsilon * (s + 1.0)
     return t, 0.5 * epsilon * ws * t ** (n - 1) * profile.radial_profile(t / epsilon)
@@ -195,6 +201,7 @@ def convolve_field(
     conv_grid: int,
 ) -> ScalarField:
     """u * eta_eps as a ScalarField (smooth, support enlarged by eps)."""
+    _check_rule(epsilon, conv_grid)
     return ScalarField(
         label=f"conv(eps={epsilon},{u.label})",
         evaluator=lambda x, _u=u, _e=float(epsilon), _p=profile, _m=conv_grid: convolve(
@@ -227,6 +234,8 @@ def star_convolve_field(
     epsilon: float,
     conv_grid: int,
 ) -> PairField:
+    """v star eta_eps as a PairField (x support enlarged by eps)."""
+    _check_rule(epsilon, conv_grid)
     return PairField(
         label=f"star(eps={epsilon},{v.label})",
         evaluator=lambda x, y, _v=v, _p=profile, _e=float(epsilon), _m=conv_grid: star_convolve(

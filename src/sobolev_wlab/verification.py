@@ -63,7 +63,15 @@ DECADES = (-3.0, 3.0)
 WEIGHT_INNER_SAMPLES = 64
 # unit-ball offsets shared by the outer points of a chunk in the maximal bound
 MAXIMAL_INNER_SAMPLES = 512
+# averaging radii over which the maximal bound takes its largest ratio
+MAXIMAL_RADII = (0.1, 1.0, 10.0)
+# mollifier widths at which the convolution bounds compare energies
+CONVOLUTION_EPSILONS = (1.0, 0.5, 0.1)
+# random off-diagonal pairs at which the commutation identity is checked
+COMMUTATION_POINTS = 100
 COMMUTATION_REL_TOL = 1e-4
+# rungs each search of the density experiment tries before it gives up
+DENSITY_MAX_STEPS = 12
 # dilations under which the Sobolev ratio must stay put
 SOBOLEV_SCALES = (0.5, 2.0)
 
@@ -218,20 +226,13 @@ def check_averaged_weight_bound(
 # maximal bound
 
 
-def check_maximal_bound(
-    V: PairField,
-    params: SpaceParams,
-    q: float,
-    r_ladder: Sequence[float],
-    spec: QuadratureSpec,
-) -> dict:
+def check_maximal_bound(V: PairField, params: SpaceParams, spec: QuadratureSpec) -> dict:
     """Ratio of the averaged-function energy to the plain energy under the
-    pair weight, maximized over the radius ladder.  Monte Carlo only."""
+    pair weight, both in L^p, maximized over MAXIMAL_RADII.  Monte Carlo
+    only."""
     if spec.method == METHOD_TENSOR_ORACLE:
         raise OracleUnavailable("lemma-4.3 is Monte Carlo only; it has no tensor-oracle path")
-    if q <= 1:
-        raise ParameterOutOfRange(f"maximal bound needs q > 1, got {q}")
-    n, a = params.n, params.a
+    n, a, q = params.n, params.a, params.p
     mix = _RadialMixture(n=n, c=a, R=resolve_outer_radius(spec, V.x_support_radius), t=params.sp)
 
     # common random numbers: one fixed batch of outer points for every
@@ -250,7 +251,7 @@ def check_maximal_bound(
         qdens = mix.density(rx) * mix.density(ry)
         theta_inv = rx ** (-a) * ry ** (-a)
         rows = [np.abs(V(x, y)) ** q * theta_inv / qdens]
-        for r in r_ladder:
+        for r in MAXIMAL_RADII:
             pz = zu * r
             px = (x[:, None, :] - pz).reshape(-1, n)
             py = (y[:, None, :] - pz).reshape(-1, n)
@@ -260,7 +261,7 @@ def check_maximal_bound(
 
     energies = _fold_chunks(spec, draw, evaluate).mean(axis=1)
     rhs = float(energies[0])
-    ratios = {float(r): float(e) / rhs if rhs > 0 else 0.0 for r, e in zip(r_ladder, energies[1:])}
+    ratios = {float(r): float(e) / rhs if rhs > 0 else 0.0 for r, e in zip(MAXIMAL_RADII, energies[1:])}
     measured = max(ratios.values()) if rhs > 0 else 0.0
     finite = all(np.isfinite(v) for v in ratios.values())
     return {
@@ -290,10 +291,10 @@ def check_star_convolution_bound(
     profile: MollifierProfile,
     spec: QuadratureSpec,
     conv_grid: int,
-    eps_ladder: Sequence[float] = (1.0, 0.5, 0.1),
 ) -> dict:
     """Ratio of the weighted energy of the mollified field to the energy of
-    the field itself, with common random numbers, across an epsilon ladder."""
+    the field itself, with common random numbers, at each of
+    CONVOLUTION_EPSILONS."""
     is_pair = isinstance(entry, PairField)
     spec = pin_outer_radius(spec, entry.x_support_radius if is_pair else entry.support_radius)
 
@@ -306,7 +307,7 @@ def check_star_convolution_bound(
     if den.value <= 0.0:
         raise DegenerateDenominator(f"zero denominator energy for {entry.label}")
     ratios = {}
-    for eps in eps_ladder:
+    for eps in CONVOLUTION_EPSILONS:
         if is_pair:
             smoothed = star_convolve_field(entry, profile, eps, conv_grid)
         else:
@@ -344,14 +345,13 @@ def check_commutation_identity(
     u: ScalarField,
     params: SpaceParams,
     epsilon: float,
-    points: int,
     seed: int,
     mollifier: MollifierProfile,
     conv_grid: int,
 ) -> dict:
     """Max residual between the diagonal-shift convolution of the lift and the
-    lift of the convolution, at random off-diagonal pairs."""
-    n = params.n
+    lift of the convolution, at COMMUTATION_POINTS random off-diagonal pairs."""
+    n, points = params.n, COMMUTATION_POINTS
     rng = _chunk_rng(seed, 424242)
     scale = min(u.support_radius if np.isfinite(u.support_radius) else 2.0, 5.0) + epsilon
     x = rng.standard_normal((points, n)) * scale
@@ -435,7 +435,6 @@ def run_density_experiment(
     cutoff: CutoffProfile,
     mollifier: MollifierProfile,
     conv_grid: int,
-    max_steps: int = 12,
 ) -> dict:
     """The end-to-end schedule: find j with truncation error below delta/2 by
     doubling, then epsilon with mollification error below delta/2 by halving."""
@@ -445,9 +444,10 @@ def run_density_experiment(
     head = {"statement_id": "theorem-1.1", "field": u.label, "delta": delta}
 
     def search(error_at, knob, step):
-        """The first of knob, knob * step, ... (max_steps of them) whose
-        error is below delta/2, with that error; (None, None) if none is."""
-        for _ in range(max_steps):
+        """The first of knob, knob * step, ... (DENSITY_MAX_STEPS of them)
+        whose error is below delta/2, with that error; (None, None) if none
+        is."""
+        for _ in range(DENSITY_MAX_STEPS):
             est = error_at(knob)
             if est.value < delta / 2.0:
                 return knob, est
@@ -455,7 +455,7 @@ def run_density_experiment(
         return None, None
 
     def failure(stage, **found):
-        return {**head, "verdict": "FailureAtBudget", "stage": stage, **found, "max_steps": max_steps}
+        return {**head, "verdict": "FailureAtBudget", "stage": stage, **found, "max_steps": DENSITY_MAX_STEPS}
 
     j, trunc_err = search(lambda j: _truncation_error(u, j, cutoff, params, spec), 1.0, 2.0)
     if j is None:

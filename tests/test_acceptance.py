@@ -108,7 +108,7 @@ def test_criterion_03_commutation_identity(acceptance_line):
     worst = 0.0
     ok = True
     for u in fields:
-        rep = check_commutation_identity(u, params, 0.2, 100, SEED, default_mollifier(1), 128)
+        rep = check_commutation_identity(u, params, 0.2, SEED, default_mollifier(1), 128)
         ok = ok and rep["verdict"] == "Pass"
         worst = max(worst, rep["max_residual"] / max(rep["reference_scale"], 1e-300))
     acceptance_line(
@@ -181,9 +181,7 @@ def test_criterion_05_convolution_bounds(acceptance_line):
         ("lift(gaussian)", lift_difference_quotient(gaussian_field(), params)),
         ("gaussian", gaussian_field()),
     ):
-        rep = check_star_convolution_bound(
-            entry, params, default_mollifier(1), spec, eps_ladder=(1.0, 0.5, 0.1), conv_grid=96
-        )
+        rep = check_star_convolution_bound(entry, params, default_mollifier(1), spec, 96)
         vals = list(rep["details"]["ratios"].values())
         ok = ok and rep["verdict"] == "BoundedStable" and max(vals) <= 1.25
         maxima[label] = max(vals)

@@ -17,6 +17,7 @@ from sobolev_wlab import (
     smooth_bump_field,
     smoothing,
     star_convolve,
+    star_convolve_field,
     truncate,
     validate_params,
 )
@@ -278,6 +279,30 @@ def test_truncation_beyond_b_j_keeps_the_cutoff(n, rng):
     shell = (r > 1.05) & (r < 1.95)
     assert np.array_equal(w(x)[r <= 1.0], u(x)[r <= 1.0])
     assert np.count_nonzero(shell) > 400 and np.all(w(x)[shell] < u(x)[shell])
+
+
+CONVOLVED_FIELDS = {
+    "convolve_field": lambda eps, m: convolve_field(smooth_bump_field(1.0), eps, default_mollifier(1), m),
+    "star_convolve_field": lambda eps, m: star_convolve_field(
+        lift_difference_quotient(smooth_bump_field(1.0), validate_params(1, 0.3, 2.0, 0.1)),
+        default_mollifier(1), eps, m,
+    ),
+    "pipeline_rho": lambda eps, m: pipeline_rho(
+        smooth_bump_field(1.0), 1.0, eps, default_cutoff(), default_mollifier(1), m
+    ),
+}
+
+
+@pytest.mark.parametrize("build", sorted(CONVOLVED_FIELDS))
+def test_convolved_field_refuses_a_bad_rule_when_built(build):
+    """A width that is not positive and finite, or an empty radial rule, is
+    refused when the field is built, not at its first evaluation."""
+    make = CONVOLVED_FIELDS[build]
+    for epsilon in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ParameterOutOfRange, match="epsilon must be positive and finite"):
+            make(epsilon, 128)
+    with pytest.raises(ParameterOutOfRange, match="convolution grid needs at least 1 radial node"):
+        make(0.1, 0)
 
 
 def test_pipeline_rho_support_and_smoothness():

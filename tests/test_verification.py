@@ -139,18 +139,17 @@ def test_reciprocal_weight_integrand_zero_point_convention():
     assert reciprocal_weight_integrand(0.0, x)(z).tolist() == [1.0, 1.0]
 
 
-def test_maximal_bound_zero_field(params1d, fast_spec):
-    rep = check_maximal_bound(pair_constant(0.0), params1d, 2.0, [1.0], fast_spec)
+def test_maximal_bound_zero_field(params1d, fast_spec, monkeypatch):
+    monkeypatch.setattr(verification, "MAXIMAL_RADII", (1.0,))
+    rep = check_maximal_bound(pair_constant(0.0), params1d, fast_spec)
     assert rep["measured_constant"] == 0.0
 
 
 def test_maximal_bound_finite(params1d, fast_spec):
     V = lift_difference_quotient(hat_1d_field(), params1d)
-    rep = check_maximal_bound(V, params1d, params1d.p, [0.1, 1.0, 10.0], fast_spec)
+    rep = check_maximal_bound(V, params1d, fast_spec)
     assert rep["verdict"] == "BoundedStable"
     assert np.isfinite(rep["measured_constant"])
-    with pytest.raises(ParameterOutOfRange):
-        check_maximal_bound(V, params1d, 1.0, [1.0], fast_spec)
 
 
 def test_maximal_bound_refuses_the_oracle(params1d, oracle_spec, monkeypatch):
@@ -159,7 +158,7 @@ def test_maximal_bound_refuses_the_oracle(params1d, oracle_spec, monkeypatch):
     monkeypatch.setattr(verification, "_fold_chunks", lambda *args: pytest.fail("drew samples"))
     V = lift_difference_quotient(hat_1d_field(), params1d)
     with pytest.raises(OracleUnavailable, match="tensor-oracle"):
-        check_maximal_bound(V, params1d, params1d.p, [1.0], replace(oracle_spec, samples=6400))
+        check_maximal_bound(V, params1d, replace(oracle_spec, samples=6400))
 
 
 def test_star_bound_degenerate_denominator(params1d, fast_spec):
@@ -167,17 +166,16 @@ def test_star_bound_degenerate_denominator(params1d, fast_spec):
         check_star_convolution_bound(zero_field(), params1d, default_mollifier(1), fast_spec, 128)
 
 
-def test_star_bound_point_case(params1d, fast_spec):
-    rep = check_star_convolution_bound(
-        gaussian_field(), params1d, default_mollifier(1), fast_spec, eps_ladder=(0.5, 0.1), conv_grid=96
-    )
+def test_star_bound_point_case(params1d, fast_spec, monkeypatch):
+    monkeypatch.setattr(verification, "CONVOLUTION_EPSILONS", (0.5, 0.1))
+    rep = check_star_convolution_bound(gaussian_field(), params1d, default_mollifier(1), fast_spec, 96)
     assert rep["verdict"] == "BoundedStable"
     assert all(v <= 1.25 for v in rep["details"]["ratios"].values())
 
 
 def test_commutation_identity_all_catalog(params1d):
     for u in (smooth_bump_field(1.0), gaussian_field(), hat_1d_field()):
-        rep = check_commutation_identity(u, params1d, 0.2, 50, 7, default_mollifier(1), 96)
+        rep = check_commutation_identity(u, params1d, 0.2, 7, default_mollifier(1), 96)
         assert rep["verdict"] == "Pass"
         assert rep["max_residual"] < 1e-10
 
@@ -239,12 +237,12 @@ def test_density_experiment_success(params1d, fast_spec):
     assert rep["achieved_error_bound"] < delta
 
 
-def test_density_experiment_budget_failure(params1d, fast_spec):
+def test_density_experiment_budget_failure(params1d, fast_spec, monkeypatch):
+    monkeypatch.setattr(verification, "DENSITY_MAX_STEPS", 2)
     u = polynomial_tail_field(3.0)
-    rep = run_density_experiment(
-        u, params1d, 1e-12, fast_spec, default_cutoff(), default_mollifier(1), 64, max_steps=2
-    )
+    rep = run_density_experiment(u, params1d, 1e-12, fast_spec, default_cutoff(), default_mollifier(1), 64)
     assert rep["verdict"] == "FailureAtBudget"
+    assert rep["max_steps"] == 2
 
 
 def test_finiteness_grid(params1d, fast_spec):
@@ -264,14 +262,14 @@ def test_sobolev_inequality(params1d, fast_spec):
         check_sobolev_inequality([zero_field()], params1d, fast_spec)
 
 
-def test_prop_4_5_energies_use_the_oracle(params1d, oracle_spec):
+def test_prop_4_5_energies_use_the_oracle(params1d, oracle_spec, monkeypatch):
     """Under the oracle the scalar energies are the oracle's, whatever the
     Monte Carlo budget and seed say."""
+    monkeypatch.setattr(verification, "CONVOLUTION_EPSILONS", (0.5,))
     u = smooth_bump_field(1.0)
     reps = [
         check_star_convolution_bound(
-            u, params1d, default_mollifier(1), replace(oracle_spec, samples=samples, seed=seed),
-            eps_ladder=(0.5,), conv_grid=32,
+            u, params1d, default_mollifier(1), replace(oracle_spec, samples=samples, seed=seed), 32
         )
         for samples, seed in ((6400, 1), (64000, 2))
     ]

@@ -99,7 +99,7 @@ def _estimators():
             lambda z: 1.0 / (0.1 + np.sum(z * z, axis=1)), 2, 0.7, QuadratureSpec(samples=1 << 17, seed=3)
         ),
         "maximal_bound": lambda: check_maximal_bound(
-            V, validate_params(2, 0.3, 2.0, 0.1), 2.0, [0.1, 1.0], QuadratureSpec(samples=1024, seed=4)
+            V, validate_params(2, 0.3, 2.0, 0.1), QuadratureSpec(samples=1024, seed=4)
         ),
         "norm_full_conv_n1": lambda: norm_full(*conv[1], QuadratureSpec(samples=1 << 14, seed=5)),
         "norm_full_conv_n2": lambda: norm_full(*conv[2], QuadratureSpec(samples=1 << 14, seed=6)),
