@@ -37,16 +37,22 @@ def test_norm_pass_and_json(tmp_path, capsys):
 @pytest.mark.parametrize("args,message", [
     (["norm", "--n", "1", "--s", "0.5", "--p", "2", "--a", "0"], "s*p < n"),
     (["norm", *BASE, "--samples", "1000"], "multiple of the 64 chunks"),
+    # the outer radius is taken from the field: no value given for it on the
+    # command line is in range, not even one the spec would take
+    *((["norm", *BASE, "--samples", "6400", "--outer-radius", r], "invalid command line")
+      for r in ("0", "-2", "nan", "inf", "0.5")),
     *((["verify", "prop-4.1", *BASE, "--trials", t], "trial") for t in ("0", "-3")),
     *((["verify", "lemma-6.1", *BASE, "--samples", "6400", "--conv-grid", m], "convolution grid")
       for m in ("0", "-4")),
     # the oracle integrates x over [-R, R] only, so R must hold the support:
-    # a ladder pins R to max(1, 1) + 10 from smooth_bump(R=1), and its rung
-    # eps = 20 widens the mollified field's support to 21
-    (["verify", "lemma-6.1", *BASE, "--method", "tensor_oracle_1d", "--grid-points", "256",
-      "--conv-grid", "16", "--ladder", "20"], "outer radius 11.0 is below the support radius 21.0"),
-], ids=["sp-not-below-n", "samples-1000", "trials-0", "trials--3", "conv-grid-0", "conv-grid--4",
-        "oracle-pinned-ladder"])
+    # a ladder pins R to max(1, r) + 10 from smooth_bump(R=r), and its rung
+    # eps = 20 widens the mollified field's support to r + 20
+    *((["verify", "lemma-6.1", *BASE, "--field", f"smooth_bump(R={r})", "--method",
+        "tensor_oracle_1d", "--grid-points", "256", "--conv-grid", "16", "--ladder", "20"],
+       f"outer radius {r + 10.0} is below the support radius {r + 20.0}") for r in (1, 2)),
+], ids=["sp-not-below-n", "samples-1000", "outer-radius-0", "outer-radius--2", "outer-radius-nan",
+        "outer-radius-inf", "outer-radius-0.5", "trials-0", "trials--3", "conv-grid-0", "conv-grid--4",
+        "oracle-outer-radius-1", "oracle-outer-radius-2"])
 def test_range_error_exit_2(args, message, tmp_path, capsys):
     """An out-of-range value exits 2 with a message and writes no record."""
     assert main([*args, "--out", str(tmp_path)]) == 2
@@ -135,11 +141,10 @@ def test_flag_and_config_line_parse_alike(key, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args,config", [
-    (["--outer-radius", "20"], ""),
     (["--reversed-ladder"], ""),
     ([], "outer_radius = 20\n"),
     ([], "reversed_ladder = true\n"),
-], ids=["outer-radius-flag", "reversed-ladder-flag", "outer-radius-config", "reversed-ladder-config"])
+], ids=["reversed-ladder-flag", "outer-radius-config", "reversed-ladder-config"])
 def test_deleted_settings_exit_2(args, config, tmp_path, capsys):
     """The outer radius is taken from the field and a reversed ladder is
     written as one; neither setting exists, as a flag or as a config key."""
