@@ -282,15 +282,15 @@ GOLDEN_RECORDS = {
     "prop-4.2": "ae4a6c79c55bf1fd738d9b323540300a64e5c2274dd79c2f564d86cda7c22bdc",
     "lemma-4.3": "bd04f6d55486643e697b109811be6daa13f6b71f9be1413fb7d135cc20f5db8d",
     "prop-4.4": "6a5fb66c1ddb39def6ef197589c63c592ede0862605e77e829541edb7b8c1750",
-    "prop-4.5": "6232eb392192667be279f5fb98f233d03e47ff9dc2ee7fec5b3b2e50282889a1",
+    "prop-4.5": "a86b3078139a7c77986cdad09677de5f52bdf45d2fdd02ff1cd6bb77dfe55c0f",
     "lemma-5.1": "7a05914f5aaa784ac305a16171ee2ad3ca638010d33ec1c54ed16a50806cc12d",
-    "eq-6.4": "3bd0371af01b1415bb5816bff73065d09ad09f8f2d4a3d5f4ab9db3f6a735515",
-    "lemma-6.1": "d82bcde14ec9e20ce2422199b25467680c6d067a1f9765594f4e7d23dac68b26",
-    "theorem-1.1": "1b4445c31740c237a848a1b36581387123ccb28bb7a2a8492a551b84b26ba752",
+    "eq-6.4": "a6e792f0515ec6f661b5636571eb0a9b8976f0c1b8c93096c5afba076fdc10a3",
+    "lemma-6.1": "68e9516fbccd13406c8f6cee5092ba850c22129b74c928f496afc0b5ed278660",
+    "theorem-1.1": "e17b4d8c59fe6a2499f5a476c4a469f4db2985ac860daccdd3fa11c1d331ec1d",
     "sobolev-ineq": "a6a4d80db89f86a81895840bf9748f2f380537f01ded7e6986264f55d0008842",
     "norm": "bf72637a5b74d187b3bfda29744a841d749a07b58e62911931a4423e7c79f51d",
-    "approx": "f591bac7ceda7b85878ae4f2d97cb376b08176e5ae006bfaff8c52786f718b0a",
-    "approx-smooth_bump": "1c97be64b9e153c37327cade69a3fbb9190f528114eb962ccf1f38a6b2bae1a1",
+    "approx": "0b995eda2c5f1c48ac9d3ed17526a24ede3735745b57f56ee3ff7e218bcdd755",
+    "approx-smooth_bump": "ed192f4dd32bf4469e8056ac85d0c3dfb7e6b2f6b2b0e3a9b2844593b55aba14",
 }
 
 
@@ -301,11 +301,11 @@ GOLDEN_RECORDS_N2 = {
     "prop-4.2": "2730bc989aec5a61d93e29dccf3f1297ef60607323f1d19a80f77f483d27c064",
     "lemma-4.3": "6642a5d608397ee2558223fcd401b6f19fb1f069a51c22f6ccf42f707aeba30d",
     "prop-4.4": "6a868a50912096be1a7689b2cafb849efc4b4f3a0f14a0af00f3d6718b5cb55d",
-    "eq-6.4": "98132996ee7138de9301e63cee355d077f158c468a7dffa5bf717e3333600e61",
+    "eq-6.4": "22bea94c4032540e37ecc02899cadf62e1870eb28da70239ecb09ed942a42bd0",
     # at 1,024 samples both of its norms carry EstimateUnstable, so its
     # verdict is "Unstable" (the record read "Pass" before norm and approx
     # judged their estimates)
-    "approx": "db0b2ce5d998da4f4acc0e4ebfccea11e97778596a16c0e9f5e499bb198ebe18",
+    "approx": "778833d75528ede8fd3e7e9e1740faaffe13faf425b75a6ee5ff32ee591d32af",
 }
 # the runs whose verdict fails, with exit code 1
 UNSTABLE_N2 = ("approx",)

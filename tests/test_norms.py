@@ -140,19 +140,45 @@ print(rep.full)
 """
 
 
-def test_norm_memory_bounded():
-    """The approximation error of the n=2 mollified bump at 16,384 samples
-    holds 16,384 x 8,256 convolution points; it must run in 700 MB of
-    address space, because chunks and convolution points are processed in
-    bounded groups and blocks."""
+def _memory_child(code: str) -> list:
+    """The numbers a child interpreter prints, after it ran ``code`` (which
+    sets its own address-space limit) to completion."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", MEMORY_CHILD], env=env, capture_output=True, text=True, timeout=300
-    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert float(proc.stdout) > 0.0
+    return [float(v) for v in proc.stdout.split()]
+
+
+def test_norm_memory_bounded():
+    """The approximation error of the n=2 mollified bump at 16,384 samples
+    (what approx computes) must run in 700 MB of address space, because
+    chunks are processed in bounded groups and the table of rho is built
+    in bounded batches."""
+    assert _memory_child(MEMORY_CHILD)[0] > 0.0
+
+
+CONVOLUTION_MEMORY_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
+import numpy as np
+from sobolev_wlab import convolve_field, gaussian_field, pipeline_rho, smooth_bump_field
+from sobolev_wlab.fields import default_cutoff, default_mollifier
+x = np.random.default_rng(7).uniform(-1.2, 1.2, (4096, 3))
+rho = pipeline_rho(smooth_bump_field(1.0), 1.0, 0.1, default_cutoff(), default_mollifier(3), 512)
+direct = convolve_field(gaussian_field(), 0.1, default_mollifier(3), 512)
+print(np.max(rho(x)), np.max(direct(x)))
+"""
+
+
+def test_convolution_memory_bounded():
+    """At conv_grid 512 in n=3 (K = 8,192 nodes) the table of a convolved
+    bump (1,088 radii x K) and the direct convolution of the gaussian at
+    4,096 points (4,096 x K) must each run in 700 MB of address space,
+    because the table convolves its radii in batches and direct convolution
+    takes its points in bounded blocks."""
+    assert all(v > 0.0 for v in _memory_child(CONVOLUTION_MEMORY_CHILD))
 
 
 def test_hat_lpstar_against_closed_form():

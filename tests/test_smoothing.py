@@ -6,6 +6,7 @@ import pytest
 from sobolev_wlab import (
     MollifierProfile,
     ParameterOutOfRange,
+    QuadratureFailure,
     ScalarField,
     convolve,
     convolve_field,
@@ -334,3 +335,104 @@ def test_convolved_point_independent_of_its_block(n, kind, monkeypatch):
     assert block[1:].tolist() == conv(x[1:], y[1:])[:-1].tolist()
     monkeypatch.setattr(smoothing, "CONV_BLOCK", 3)
     assert conv(x[:257], y[:257]).tolist() == alone
+
+
+def _edge_radii(edge: float) -> np.ndarray:
+    """Dense radii over [0, 1.05 edge], and edge with its 8 float
+    neighbours on either side."""
+    near = [edge]
+    for d in (-np.inf, np.inf):
+        step = edge
+        for _ in range(8):
+            step = np.nextafter(step, d)
+            near.append(step)
+    return np.concatenate([np.linspace(0.0, 1.05 * edge, 1000), near])
+
+
+# the smooth catalog fields, each with the scale j of its pipeline_rho
+# (None: the field is convolved as it is)
+TABLED_FIELDS = {
+    "smooth_bump": (smooth_bump_field(1.0), None),
+    "polynomial_tail": (polynomial_tail_field(3.0), 2.0),
+    "gaussian": (gaussian_field(), 1.0),
+}
+
+
+def _table_error(inner: ScalarField, rho: ScalarField, eps: float, n: int, rng) -> float:
+    """Largest gap between rho's table and direct convolve over the radii
+    of ``_edge_radii``, in random directions, relative to max|rho|; rho must
+    be exactly 0 beyond its support."""
+    r = _edge_radii(rho.support_radius)
+    dirs = rng.normal(size=(len(r), n))
+    x = r[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    direct, tabled = convolve(inner, eps, default_mollifier(n), x, 64), rho(x)
+    assert np.all(tabled[np.linalg.norm(x, axis=1) > rho.support_radius] == 0.0), rho.label
+    return float(np.max(np.abs(tabled - direct)) / np.max(np.abs(direct)))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(TABLED_FIELDS))
+def test_table_matches_convolve(name, n, eps, rng):
+    """A smooth field of bounded support convolves through its radial
+    table, within 1e-14 of max|rho| of direct convolution up to and around
+    support + eps, and exactly 0 beyond."""
+    u, j = TABLED_FIELDS[name]
+    eta, cutoff = default_mollifier(n), default_cutoff()
+    if j is None:
+        inner, rho = u, convolve_field(u, eps, eta, 64)
+    else:
+        inner, rho = truncate(u, j, cutoff), pipeline_rho(u, j, eps, cutoff, eta, 64)
+    assert _table_error(inner, rho, eps, n, rng) <= 1e-14
+
+
+def test_table_refines_where_64_panels_fall_short(monkeypatch, rng):
+    """A bump narrow against eps needs more than TABLE_PANELS panels: the
+    table refines to the same accuracy, and without refinement (negative
+    control) it misses by more."""
+    u, eta = smooth_bump_field(0.3), default_mollifier(1)
+    assert _table_error(u, convolve_field(u, 1.0, eta, 64), 1.0, 1, rng) <= 1e-14
+    monkeypatch.setattr(smoothing, "TABLE_TAIL", np.inf)
+    assert _table_error(u, convolve_field(u, 1.0, eta, 64), 1.0, 1, rng) > 1e-14
+
+
+def test_kinked_field_labelled_smooth_is_refused(monkeypatch):
+    """A kinked field labelled smooth never gets a table: refinement cannot
+    bring the Chebyshev tail down, so the first call raises after the
+    largest table, and raises again on the next."""
+    hat = hat_1d_field()
+    kinked = ScalarField("kinked", hat.evaluator, hat.support_radius, "smooth")
+    radii, direct = [], smoothing.convolve
+
+    def counted(u, epsilon, profile, x, conv_grid):
+        radii.append(len(x))
+        return direct(u, epsilon, profile, x, conv_grid)
+
+    monkeypatch.setattr(smoothing, "convolve", counted)
+    rho = convolve_field(kinked, 0.1, default_mollifier(1), 16)
+    for _ in range(2):
+        with pytest.raises(QuadratureFailure, match="not smooth enough to tabulate"):
+            rho(np.zeros((3, 1)))
+    panels = [smoothing.TABLE_PANELS << k for k in range(5)]
+    assert panels[-1] == smoothing.TABLE_MAX_PANELS
+    assert max(radii) <= smoothing.TABLE_BATCH
+    assert sum(radii) == 2 * (smoothing.TABLE_DEGREE + 1) * sum(panels)
+
+
+@pytest.mark.parametrize("make", ["hat_1d", "dilate_hat_1d", "gaussian"])
+def test_fields_without_a_table_convolve_directly(make, rng):
+    """A kinked field (hat_1d, dilated or not) and a field of unbounded
+    support keep direct convolution: the convolved field is convolve, bit
+    for bit."""
+    u = {"hat_1d": hat_1d_field(), "dilate_hat_1d": dilate(hat_1d_field(), 3.0), "gaussian": gaussian_field()}[make]
+    x = rng.uniform(-1.6, 1.6, (500, 1))
+    eta = default_mollifier(1)
+    assert np.array_equal(_bits(convolve_field(u, 0.2, eta, 32)(x)), _bits(convolve(u, 0.2, eta, x, 32)))
+
+
+def test_tabled_field_refuses_another_dimension():
+    """Called in a dimension other than its mollifier's, a tabled field
+    raises as direct convolution does."""
+    rho = convolve_field(smooth_bump_field(1.0), 0.1, default_mollifier(2), 16)
+    with pytest.raises(ParameterOutOfRange, match="profile built for n=2, requested n=3"):
+        rho(np.zeros((4, 3)))

@@ -84,3 +84,21 @@ def test_benchmark_traced_op_is_bit_identical(workloads, tmp_path):
         tracer.restore()
     assert any(span.name == "fields.eval" for span in tracer.spans)
     assert traced.fingerprint() == untraced.fingerprint()
+
+
+def test_benchmark_traced_first_op_builds_tables_bit_identical(workloads, tmp_path):
+    """On a fresh approx-conv context the first op builds the tables of its
+    rho; traced, it builds them through the tracer's patched
+    ``smoothing.convolve``, and its output must still be the untraced op's
+    to the bit."""
+    op = workloads.OpStream("approx-conv", 7).next_cycle()[0]
+    untraced = workloads.run_op(op, workloads.setup("approx-conv", str(tmp_path)))
+    ctx = workloads.setup("approx-conv", str(tmp_path))
+    tracer = _tracer()
+    tracer.install()
+    try:
+        traced = tracer.run_op(lambda: workloads.run_op(op, ctx, wrap_field=tracer.wrap_field))
+    finally:
+        tracer.restore()
+    assert any(span.name == "smoothing.convolve" for span in tracer.spans)
+    assert traced.fingerprint() == untraced.fingerprint()

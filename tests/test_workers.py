@@ -1,8 +1,9 @@
 """The worker threads of the chunk fold, of the convolution blocks and of
 the pair oracle's row groups: estimates and convolved values do not depend
 on how many there are, an error in any group surfaces with its own type
-after every worker has stopped, nested folds run inline, and the
-convolution block is shared between the workers."""
+after every worker has stopped, nested folds run inline, the
+convolution block is shared between the workers, and a convolved field's
+table is built once, whoever calls first."""
 
 import sys
 import threading
@@ -66,6 +67,11 @@ def _bounded(fn):
     return out["value"]
 
 
+def _fresh_rho(n: int):
+    """The approximation of the smooth bump, its table not yet built."""
+    return pipeline_rho(smooth_bump_field(1.0), 1.0, 0.1, default_cutoff(), default_mollifier(n), 16)
+
+
 def _estimators():
     params1 = validate_params(1, 0.3, 2.0, 0.1)
     v = lift_difference_quotient(smooth_bump_field(1.0), params1)
@@ -103,6 +109,10 @@ def _estimators():
         ),
         "norm_full_conv_n1": lambda: norm_full(*conv[1], QuadratureSpec(samples=1 << 14, seed=5)),
         "norm_full_conv_n2": lambda: norm_full(*conv[2], QuadratureSpec(samples=1 << 14, seed=6)),
+        # a fresh rho on every run, so that its table is built under each worker count
+        "norm_full_fresh_table_n2": lambda: norm_full(
+            subtract(conv[2][0], _fresh_rho(2)), conv[2][1], QuadratureSpec(samples=1 << 14, seed=7)
+        ),
         "oracle_weighted_conv_n1": lambda: oracle_weighted_integral_1d(
             lambda x: np.abs(conv[1][0](x)) ** 2, 0.2, 12.0, oracle
         ),
@@ -130,6 +140,52 @@ def test_estimates_independent_of_worker_count(name, monkeypatch):
         monkeypatch.setattr(quadrature, "WORKERS", workers)
         assert repr(run()) == repr(single), workers
     assert not _workers_alive()
+
+
+def test_table_independent_of_call_order(rng):
+    """A fresh convolved field called at points A, then B, gives the bits of
+    one called at B, then A: the table is built from fixed radii, not from
+    the first caller's points."""
+    a, b = rng.uniform(-0.5, 0.5, (300, 2)), rng.uniform(-1.2, 1.2, (300, 2))
+    first, second = _fresh_rho(2), _fresh_rho(2)
+    a_then_b = [first(a).tolist(), first(b).tolist()]
+    b_then_a = [second(b).tolist(), second(a).tolist()][::-1]
+    assert a_then_b == b_then_a
+
+
+def test_table_built_once_by_concurrent_callers(monkeypatch, rng):
+    """Eight threads, more than the CPUs, calling a fresh convolved field at
+    once and switching as often as the interpreter allows, build its table
+    once, and each gets the values of a single caller."""
+    calls, direct = _Calls(), smoothing.convolve
+
+    def counted(u, epsilon, profile, x, conv_grid):
+        for _ in range(len(x)):
+            calls.next()
+        return direct(u, epsilon, profile, x, conv_grid)
+
+    x = rng.uniform(-1.2, 1.2, (500, 2))
+    single = _fresh_rho(2)(x).tolist()
+    monkeypatch.setattr(smoothing, "convolve", counted)
+    rho, start, out = _fresh_rho(2), threading.Barrier(8), [None] * 8
+
+    def call(i):
+        start.wait()
+        out[i] = rho(x).tolist()
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert out == [single] * 8
+    assert calls.count == smoothing.TABLE_PANELS * (smoothing.TABLE_DEGREE + 1)
 
 
 class _Calls:
