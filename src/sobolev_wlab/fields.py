@@ -4,7 +4,8 @@ All evaluators are vectorized over every axis but the last.  A scalar
 field takes points of shape (..., n) and returns values of shape (...).  A
 pair field takes points x and y whose shapes broadcast against each other
 and returns values of their broadcast leading shape, so a point shared by
-many pairs is passed, and read, once.  Besides its evaluator a field
+many pairs is passed, and read, once; it also takes their separation
+|x - y| when the caller knows it (PairField).  Besides its evaluator a field
 carries only what the program reads: its support radius, which sets the
 sampling and quadrature radii and the convolution short-circuit, and for a
 scalar field its smoothness class, which the finiteness check requires and
@@ -69,12 +70,21 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class PairField:
-    """A field on R^n x R^n, evaluated at points x and y whose shapes
-    broadcast against each other, with values of the broadcast leading
-    shape: x of shape (m, 1, n) against y of shape (m, k, n) gives (m, k),
-    bit for bit the values of the (m k, n) call on x repeated.  The
+    """A field on R^n x R^n, evaluated as v(x, y, d=None) at points x and y
+    whose shapes broadcast against each other, with values of the broadcast
+    leading shape: x of shape (m, 1, n) against y of shape (m, k, n) gives
+    (m, k), bit for bit the values of the (m k, n) call on x repeated.  The
     estimators rely on it to pass a point shared by many pairs once, so a
     lift reads u there once.
+
+    Separation contract: ``d``, when given, is the separation |x - y| of
+    every pair, of a shape that broadcasts against the leading shape, and
+    the field may read it instead of computing row_norm(x - y) itself; with
+    d = row_norm(x - y) the values are bit for bit those of the call
+    without it.  The lift computes its kernel on d's own shape, so the 1-d
+    oracle, which passes each z node's separation as shape (1, k), has it
+    computed k times per row group, not once per (u, z) point.  Pair
+    subtraction and clipping pass d on; star-convolution ignores it.
 
     Every pair field is antisymmetric bit for bit:
     v(y, x) == -v(x, y).  The norms rely on it to score each unordered
@@ -87,13 +97,14 @@ class PairField:
     oracle relies on it to sum over x > 0 only."""
 
     label: str
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray]
     # radius such that the field vanishes when both blocks are outside it;
     # used to pick sampling truncation radii
     x_support_radius: float
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    def __call__(self, x: np.ndarray, y: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
+        d = None if d is None else np.asarray(d, dtype=float)
+        return self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float), d)
 
 
 def _bump_profile(t: np.ndarray) -> np.ndarray:
@@ -286,7 +297,7 @@ def subtract(u: ScalarField, w: ScalarField) -> ScalarField:
 def pair_subtract(v: PairField, w: PairField) -> PairField:
     return PairField(
         label=f"sub({v.label},{w.label})",
-        evaluator=lambda x, y, _v=v, _w=w: _v(x, y) - _w(x, y),
+        evaluator=lambda x, y, d=None, _v=v, _w=w: _v(x, y, d) - _w(x, y, d),
         x_support_radius=max(v.x_support_radius, w.x_support_radius),
     )
 
@@ -294,13 +305,15 @@ def pair_subtract(v: PairField, w: PairField) -> PairField:
 def lift_difference_quotient(u: ScalarField, params: SpaceParams) -> PairField:
     """(u(x) - u(y)) / |x-y|^(n/p + s), with value 0 on the exact diagonal.
 
-    The diagonal convention is for totality only: the samplers never emit
-    z = 0, and the diagonal has measure zero.
+    The kernel is computed on the separation d's own shape: on the given d,
+    else on d = row_norm(x - y).  The diagonal convention is for totality
+    only: the samplers never emit z = 0, and the diagonal has measure zero.
     """
     exponent = params.n / params.p + params.s
 
-    def ev(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = row_norm(x - y)
+    def ev(x: np.ndarray, y: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
+        if d is None:
+            d = row_norm(x - y)
         off = d > 0.0
         dd = np.where(off, d, 1.0)
         vals = (u(x) - u(y)) * dd ** (-exponent)
@@ -318,7 +331,7 @@ def clip_to_level(v: PairField, M: float) -> PairField:
         raise ParameterOutOfRange(f"clip level must be positive, got {M}")
     return PairField(
         label=f"clip({M},{v.label})",
-        evaluator=lambda x, y, _v=v, _m=float(M): np.clip(_v(x, y), -_m, _m),
+        evaluator=lambda x, y, d=None, _v=v, _m=float(M): np.clip(_v(x, y, d), -_m, _m),
         x_support_radius=v.x_support_radius,
     )
 

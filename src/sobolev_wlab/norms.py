@@ -81,8 +81,8 @@ def _pair_power_integral(v: PairField, params: SpaceParams, alpha: float, beta: 
     p = params.p
     label = label or f"|{v.label}|^{p}"
 
-    def g(x, y):
-        return np.abs(v(x, y)) ** p
+    def g(x, y, d=None):
+        return np.abs(v(x, y, d)) ** p
 
     # every pair field is antisymmetric, v(y, x) == -v(x, y), so g is the
     # symmetric integrand both estimators require

@@ -34,9 +34,11 @@ Broadcast contract: a pair integrand takes points x and y whose shapes
 broadcast against each other, (..., n), and returns values of their
 broadcast leading shape, as every PairField does.  The pair estimators pass
 a point shared by many pairs once: Monte Carlo evaluates g(x, [x + z, x - z])
-in one call, and the oracle g(u, u +- z) with u of shape (rows, 1, 1)
-against (rows, k, 1).  So the lift of a field reads u(x) once for all of
-them.
+in one call, and the oracle g(u, u +- z, z) with u of shape (rows, 1, 1)
+against (rows, k, 1) and the separations z of shape (1, k).  So the lift of
+a field reads u(x) once for all of them, and under the oracle computes its
+kernel once per z node.  Monte Carlo passes no separation: the lift
+computes |x - y| itself there.
 
 Reflection contract: the 1-d oracle requires integrands that are even,
 f(-x) == f(x) and g(-x, -y) == g(x, y), as the powers of every n = 1
@@ -590,6 +592,11 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
     g is also even, g(-x, -y) == g(x, y), and both weights are even, so the
     term at (-u, z, -sign) equals the term at (u, z, sign): the bounded
     variable runs over u > 0 only, and its weights count each term twice.
+
+    The separation of a grid point (u, z) is the node z itself, so g is
+    called as g(u, t, d) with d = z of shape (1, k), one row for the
+    block's k nodes: a lift computes its kernel k times per row group.  The
+    points u and t = u +- z are rounded, so d matches |u - t| to rounding.
     """
     zm, zw = _graded_half_grid(z_max, cells)
     # far segment: w = 1/z mapped onto (0, 1/z_max], covering [z_max, inf)
@@ -617,8 +624,9 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
             r = slice(i * rows, (i + 1) * rows)
             t = u[r, None] + sgn * zb[None, :]
             abs_t = np.abs(t)
-            # u (rows, 1, 1) broadcasts against t (rows, k, 1): g reads each u once
-            vals = g(u[r, None, None], t[:, :, None])
+            # u (rows, 1, 1) broadcasts against t (rows, k, 1): g reads each u
+            # once, and takes each node's separation |u - t| = z as (1, k)
+            vals = g(u[r, None, None], t[:, :, None], zb[None, :])
             # part 1: x = u bounded, y = t anywhere
             part1[r] = weighted(vals, abs_t, beta)
             # part 2: y = u bounded, x = t restricted to |x| > x_max
@@ -645,9 +653,12 @@ def oracle_pair_integral_1d(
     with y = x + z and graded grids toward 0, on the spec's grid.  g must
     also be even, g(-x, -y) == g(x, y): the bounded variable runs over
     x > 0 only and the sum is doubled.  g must broadcast its arguments: it
-    is called as g(u, t) with bounded points u of shape (rows, 1, 1) and
-    t = u +- z of shape (rows, k, 1), and returns shape (rows, k), so each
-    u is read once per sign and block of k z nodes, not once per node.
+    is called as g(u, t, d) with bounded points u of shape (rows, 1, 1),
+    t = u +- z of shape (rows, k, 1) and the nodes' separations d = z of
+    shape (1, k), and returns shape (rows, k), so each u is read once per
+    sign and block of k z nodes, not once per node.  g may read d in place
+    of |u - t|, as a PairField does (the separation contract): the two
+    agree to rounding.
 
     Each call covers one row group of at most ORACLE_GROUP_POINTS points,
     so memory does not grow with the grid.  The row groups of a block run

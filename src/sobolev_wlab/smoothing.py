@@ -330,8 +330,9 @@ def star_convolve_field(
     _check_rule(epsilon, conv_grid)
     return PairField(
         label=f"star(eps={epsilon},{v.label})",
-        evaluator=lambda x, y, _v=v, _p=profile, _e=float(epsilon), _m=conv_grid: star_convolve(
-            _v, _p, _e, x, y, _m
+        # a shift of both points keeps their separation; the rule ignores d
+        evaluator=lambda x, y, d=None, _v=v, _p=profile, _e=float(epsilon), _m=conv_grid: (
+            star_convolve(_v, _p, _e, x, y, _m)
         ),
         x_support_radius=v.x_support_radius + epsilon,
     )

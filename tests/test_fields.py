@@ -41,6 +41,7 @@ from sobolev_wlab.fields import (
     sphere_area,
     subtract,
 )
+from sobolev_wlab.params import row_norm
 
 
 def test_sphere_and_ball_constants():
@@ -231,6 +232,37 @@ def test_fields_are_even_in_1d(kind, rng):
             assert np.max(np.abs(mirrored - vals) * quotient) <= 1e-12, v.label
         else:
             assert np.array_equal(mirrored, vals), v.label
+
+
+@pytest.mark.parametrize("kind", ["lift", "lift_of_sub_rho", "clip", "pair_subtract", "star_convolve"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_fields_take_their_separation(kind, n, rng):
+    """The separation contract that lets the 1-d oracle hand the lift its
+    z nodes: passing d = row_norm(x - y) gives the values of the call
+    without it, bit for bit, at flat (m, n) points and at x of shape
+    (m, 1, n) against y of shape (m, k, n); a d of shape (1, k) gives the
+    values of its broadcast to (m, k); and antisymmetry, and in n = 1
+    evenness, still hold with d."""
+    m, k = 300, 5
+    x = rng.normal(size=(m, n)) * 1.5
+    y = x + rng.normal(size=(m, n)) * np.geomspace(1e-3, 4.0, m)[:, None]
+    y[:5] = x[:5]  # the diagonal
+    d = row_norm(x - y)
+    xb = x[:60, None, :]
+    yb = xb + rng.normal(size=(60, k, n)) * np.geomspace(1e-3, 4.0, k)[:, None]
+    db = row_norm(xb - yb)
+    row = rng.uniform(0.1, 2.0, (1, k))
+    for v in _pair_fields(kind, n):
+        vals = v(x, y, d)
+        assert np.array_equal(vals, v(x, y)), v.label
+        assert np.array_equal(v(xb, yb, db), v(xb, yb)), v.label
+        assert np.array_equal(v(xb, yb, row), v(xb, yb, np.broadcast_to(row, db.shape))), v.label
+        assert np.array_equal(v(y, x, d), -vals), v.label
+        if n == 1 and kind in ("lift_of_sub_rho", "star_convolve"):
+            # to rounding, as in test_fields_are_even_in_1d (n/p + s = 0.8)
+            assert np.max(np.abs(v(-x, -y, d) - vals) * d ** 0.8) <= 1e-12, v.label
+        elif n == 1:
+            assert np.array_equal(v(-x, -y, d), vals), v.label
 
 
 def _random_rotation(rng, n):

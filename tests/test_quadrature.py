@@ -24,11 +24,14 @@ from sobolev_wlab import (
     pipeline_rho,
     polynomial_tail_field,
     quadrature,
+    seminorm_general,
     seminorm_wspa,
     smooth_bump_field,
+    validate_general_weights,
     validate_params,
 )
-from sobolev_wlab.fields import default_cutoff, default_mollifier, subtract
+from sobolev_wlab import norms
+from sobolev_wlab.fields import PairField, default_cutoff, default_mollifier, subtract
 from sobolev_wlab.quadrature import (
     METHOD_TENSOR_ORACLE,
     _RadialMixture,
@@ -100,7 +103,7 @@ def test_oracle_critical_integral_unbiased():
 
 def test_oracle_pair_closed_form():
     # iint (exp(-x^2) + exp(-y^2))/2 |z|^(-1/2) 1_{|z|<=1} dx dz = 2 * 2 * sqrt(pi)
-    def g(x, y):
+    def g(x, y, d=None):
         z = np.abs((y - x)[..., 0])
         inside = (z <= 1.0) & (z > 0)
         bump = 0.5 * (np.exp(-x[..., 0] ** 2) + np.exp(-y[..., 0] ** 2))
@@ -342,7 +345,7 @@ def test_estimate_roundtrip_dict():
 
 def _lift_power(u, params):
     v = lift_difference_quotient(u, params)
-    return lambda x, y: np.abs(v(x, y)) ** params.p
+    return lambda x, y, d=None: np.abs(v(x, y, d)) ** params.p
 
 
 def _pair_mc(g, params, alpha, beta, samples):
@@ -399,6 +402,46 @@ def test_pair_oracle_half_grid_agrees(s, p, a):
             assert half == pytest.approx(_two_part_tensor_sum(g, alpha, beta, x_max, 256), rel=1e-12)
 
 
+def _without_separation(v):
+    """v with an evaluator that drops the separation it is given, so that
+    it computes |x - y| from the rounded points themselves."""
+    return PairField(v.label, lambda x, y, d=None: v(x, y), v.x_support_radius)
+
+
+@pytest.mark.parametrize("s,p", [(0.3, 2.0), (0.25, 3.0)])
+@pytest.mark.parametrize("frac", [0.0, 0.6])
+def test_pair_oracle_node_separation_moves_only_rounding(s, p, frac):
+    """The oracle hands the lift each z node as the separation of its
+    points: on 256 cells the seminorm's sum moves from that of a lift
+    computing |u - t| itself by rounding only, on the oracle-1d fixtures
+    (a a share of the gap (1 - s p)/2).  The single-grid sum, since at
+    grid 256 the refinement guard trips on the gaussian at a = 0."""
+    params = validate_params(1, s, p, frac * (1.0 - s * p) / 2.0)
+    for u in (hat_1d_field(), smooth_bump_field(1.0), gaussian_field()):
+        v = lift_difference_quotient(u, params)
+        x_max = resolve_outer_radius(QuadratureSpec(), u.support_radius)
+        given, dropped = (
+            quadrature._oracle_pair_1d_once(
+                lambda x, y, d=None: np.abs(w(x, y, d)) ** p, params.a, params.a, x_max, 2.0 * x_max, 256
+            )
+            for w in (v, _without_separation(v))
+        )
+        assert given == pytest.approx(dropped, rel=1e-13, abs=0.0), u.label
+
+
+def test_pair_oracle_node_separation_with_two_weights():
+    """The same through seminorm_general at alpha != beta, where part 2
+    weighs its terms apart."""
+    params = validate_params(1, 0.3, 2.0, 0.1)
+    gw = validate_general_weights(params, 0.2, 0.0)
+    u = smooth_bump_field(1.0)
+    spec = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=256)
+    dropped = norms._pair_power_integral(
+        _without_separation(lift_difference_quotient(u, params)), params, gw.alpha, gw.beta, spec
+    )
+    assert seminorm_general(u, params, gw, spec).value == pytest.approx(dropped.value, rel=1e-13, abs=0.0)
+
+
 def _whole_block_tensor_sum(g, alpha, beta, x_max, z_max, cells):
     """The half-grid tensor sum with each sign of a z block filled by one
     call of g over all m rows, the reference for the row groups."""
@@ -422,7 +465,7 @@ def _whole_block_tensor_sum(g, alpha, beta, x_max, z_max, cells):
         for sgn in (1.0, -1.0):
             t = u[:, None] + sgn * zb[None, :]
             abs_t = np.abs(t)
-            vals = g(u[:, None, None], t[:, :, None])
+            vals = g(u[:, None, None], t[:, :, None], zb[None, :])
             part1 = weighted(vals, abs_t, beta)
             total += float(w1 @ part1 @ wzb)
             part2 = part1 if alpha == beta else weighted(vals, abs_t, alpha)
@@ -457,7 +500,7 @@ def test_pair_oracle_calls_stay_within_the_row_group(workers, monkeypatch):
     for grid in (1024, 2048):
         sizes, lock = [], threading.Lock()
 
-        def counted(x, y):
+        def counted(x, y, d=None):
             with lock:
                 sizes.append(int(np.prod(np.broadcast_shapes(x.shape, y.shape)[:-1])))
             return np.exp(-(x * x + y * y)[..., 0])
@@ -499,9 +542,9 @@ def test_pair_estimators_evaluate_each_pair_once():
     g = _lift_power(smooth_bump_field(1.0), params)
     scored = _PointCount()
 
-    def counted(x, y):
+    def counted(x, y, d=None):
         scored.add(np.broadcast_shapes(x.shape, y.shape)[:-1])
-        return g(x, y)
+        return g(x, y, d)
 
     _pair_mc(counted, params, 0.1, 0.1, 6400)
     assert scored.points == 2 * 6400

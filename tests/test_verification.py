@@ -40,7 +40,7 @@ def pair_constant(c: float) -> PairField:
     """Constant on all of R^{2n}."""
     return PairField(
         label=f"pair_constant(c={c})",
-        evaluator=lambda x, y: np.full(x.shape[:-1], float(c)),
+        evaluator=lambda x, y, d=None: np.full(x.shape[:-1], float(c)),
         x_support_radius=np.inf,
     )
 

@@ -17,6 +17,7 @@ from sobolev_wlab import (
     ScalarField,
     ball_average,
     check_maximal_bound,
+    hat_1d_field,
     convolve,
     estimate_pair_integral_singular,
     estimate_weighted_integral_Rn,
@@ -28,6 +29,7 @@ from sobolev_wlab import (
     polynomial_tail_field,
     quadrature,
     seminorm_general,
+    seminorm_wspa,
     smooth_bump_field,
     smoothing,
     star_convolve,
@@ -75,9 +77,9 @@ def _fresh_rho(n: int):
 def _estimators():
     params1 = validate_params(1, 0.3, 2.0, 0.1)
     v = lift_difference_quotient(smooth_bump_field(1.0), params1)
-    g = lambda x, y: np.abs(v(x, y)) ** 2  # noqa: E731
+    g = lambda x, y, d=None: np.abs(v(x, y, d)) ** 2  # noqa: E731
     star = star_convolve_field(v, default_mollifier(1), 0.1, 8)
-    g_star = lambda x, y: np.abs(star(x, y)) ** 2  # noqa: E731
+    g_star = lambda x, y, d=None: np.abs(star(x, y, d)) ** 2  # noqa: E731
     V = lift_difference_quotient(smooth_bump_field(1.0), validate_params(2, 0.3, 2.0, 0.1))
     conv = {
         n: (
@@ -117,6 +119,8 @@ def _estimators():
             lambda x: np.abs(conv[1][0](x)) ** 2, 0.2, 12.0, oracle
         ),
         "oracle_pair": lambda: oracle_pair_integral_1d(g, 0.1, 0.1, 1.0, 2.0, oracle),
+        # the lift's kernel on the oracle's z nodes, passed as the separation
+        "oracle_seminorm": lambda: seminorm_wspa(hat_1d_field(), params1, oracle),
         "oracle_seminorm_general": lambda: seminorm_general(
             smooth_bump_field(1.0), params1, validate_general_weights(params1, 0.2, 0.0), oracle
         ),
@@ -245,7 +249,7 @@ def _failing_pair(fail_at: int):
     ``fail_at``-th call on."""
     calls = _Calls()
 
-    def g(x, y):
+    def g(x, y, d=None):
         if calls.next() >= fail_at:
             raise QuadratureFailure(f"call {fail_at}")
         return np.exp(-(x * x + y * y)[..., 0])
