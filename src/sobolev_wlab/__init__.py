@@ -63,16 +63,15 @@ from .smoothing import (
     convolve_field,
     pipeline_rho,
     star_convolve,
-    star_convolve_field,
     truncate,
 )
 from .verification import (
     check_averaged_weight_bound,
     check_commutation_identity,
+    check_convolution_bound,
     check_finiteness_smooth,
     check_maximal_bound,
     check_sobolev_inequality,
-    check_star_convolution_bound,
     run_clipping_convergence,
     run_density_experiment,
     run_mollification_convergence,

@@ -48,10 +48,10 @@ from .smoothing import pipeline_rho
 from .verification import (
     check_averaged_weight_bound,
     check_commutation_identity,
+    check_convolution_bound,
     check_finiteness_smooth,
     check_maximal_bound,
     check_sobolev_inequality,
-    check_star_convolution_bound,
     estimate_unstable,
     run_clipping_convergence,
     run_density_experiment,
@@ -323,11 +323,9 @@ def _run_verify(config: RunConfig) -> tuple:
         V = lift_difference_quotient(base, params)
         rep = check_maximal_bound(V, params, spec)
     elif sid in ("prop-4.4", "prop-4.5"):
+        kind = WeightKind.PAIR if sid == "prop-4.4" else WeightKind.POINT
         u = field_from_spec(opts["field"], space=params)
-        entry = lift_difference_quotient(u, params) if sid == "prop-4.4" else u
-        rep = check_star_convolution_bound(
-            entry, params, default_mollifier(params.n), spec, conv_grid=opts["conv_grid"]
-        )
+        rep = check_convolution_bound(kind, u, params, default_mollifier(params.n), spec, opts["conv_grid"])
     elif sid == "lemma-5.1":
         if params.n == 1:
             base = make_field("singular_spike", space=params, gamma=0.2, R=1.0)

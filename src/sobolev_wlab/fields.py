@@ -84,13 +84,13 @@ class PairField:
     without it.  The lift computes its kernel on d's own shape, so the 1-d
     oracle, which passes each z node's separation as shape (1, k), has it
     computed k times per row group, not once per (u, z) point.  Pair
-    subtraction and clipping pass d on; star-convolution ignores it.
+    subtraction and clipping pass d on.
 
     Every pair field is antisymmetric bit for bit:
     v(y, x) == -v(x, y).  The norms rely on it to score each unordered
     pair once.  The lift has it because IEEE subtraction rounds a - b and
-    b - a to exact negatives, and pair subtraction, clipping and
-    star-convolution keep it, since each commutes with exact negation.
+    b - a to exact negatives, and pair subtraction and clipping keep it,
+    since each commutes with exact negation.
 
     In n = 1 every pair field is also even, v(-x, -y) == v(x, y), since the
     lift of an even field is and the pair operations keep it.  The 1-d

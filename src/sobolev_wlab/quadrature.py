@@ -610,6 +610,8 @@ def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
     w2 = 2.0 * u ** (-beta) * uw
 
     def weighted(vals, abs_t, exponent):
+        if exponent == 0.0:  # |t|^0 is 1, as in params._pow_weight
+            return vals
         return vals * np.maximum(abs_t, 1e-300) ** (-exponent)
 
     total = 0.0

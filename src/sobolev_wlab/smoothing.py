@@ -19,6 +19,12 @@ argument, so ``star_convolve`` keeps fixed direction tables on the same
 radial nodes: +-1 in n = 1 (the aligned nodes), 64 angles in n = 2 and
 8 x 16 (mu, phi) directions in n = 3.
 
+A diagonal shift keeps |x - y|, so the diagonal-shift convolution of a
+lift is the lift of the convolution, (Du) star eta_eps = D(u * eta_eps),
+exactly.  The convolution bound of the pair weight (prop-4.4) smooths u
+with ``convolve_field`` on that account, and ``star_convolve`` evaluates
+only the left side of the identity, which eq-6.4 checks pointwise.
+
 A convolved field of a smooth u of bounded support is radial and smooth in
 r, so ``convolve_field`` tabulates it once: a piecewise Chebyshev table in
 r on [0, supp u + eps], built on the first call from ``convolve`` at fixed
@@ -318,24 +324,6 @@ def star_convolve(
     n = x.shape[-1]
     nodes = _star_nodes(profile, epsilon, n, conv_grid)
     return _mollify(v, (x.reshape(-1, n), y.reshape(-1, n)), nodes).reshape(x.shape[:-1])
-
-
-def star_convolve_field(
-    v: PairField,
-    profile: MollifierProfile,
-    epsilon: float,
-    conv_grid: int,
-) -> PairField:
-    """v star eta_eps as a PairField (x support enlarged by eps)."""
-    _check_rule(epsilon, conv_grid)
-    return PairField(
-        label=f"star(eps={epsilon},{v.label})",
-        # a shift of both points keeps their separation; the rule ignores d
-        evaluator=lambda x, y, d=None, _v=v, _p=profile, _e=float(epsilon), _m=conv_grid: (
-            star_convolve(_v, _p, _e, x, y, _m)
-        ),
-        x_support_radius=v.x_support_radius + epsilon,
-    )
 
 
 def pipeline_rho(

@@ -10,7 +10,7 @@ choices recorded in every report.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .quadrature import (
     pin_outer_radius,
     resolve_outer_radius,
 )
-from .smoothing import convolve_field, pipeline_rho, star_convolve_field, truncate
+from .smoothing import convolve_field, pipeline_rho, star_convolve, truncate
 
 STABILIZATION_SLACK = 0.05
 FINAL_OVER_INITIAL = 0.1
@@ -285,8 +285,9 @@ def check_maximal_bound(V: PairField, params: SpaceParams, spec: QuadratureSpec)
 # convolution bounds
 
 
-def check_star_convolution_bound(
-    entry: Union[PairField, ScalarField],
+def check_convolution_bound(
+    kind: WeightKind,
+    u: ScalarField,
     params: SpaceParams,
     profile: MollifierProfile,
     spec: QuadratureSpec,
@@ -294,25 +295,29 @@ def check_star_convolution_bound(
 ) -> dict:
     """Ratio of the weighted energy of the mollified field to the energy of
     the field itself, with common random numbers, at each of
-    CONVOLUTION_EPSILONS."""
-    is_pair = isinstance(entry, PairField)
-    spec = pin_outer_radius(spec, entry.x_support_radius if is_pair else entry.support_radius)
+    CONVOLUTION_EPSILONS: of u * eta_eps to u in L^{p*}_b for the point
+    weight (prop-4.5), of (Du) star eta_eps to the lift Du in L^p_{a,a} for
+    the pair weight (prop-4.4).  A diagonal shift keeps |x - y|, so
+    (Du) star eta_eps is D(u * eta_eps) exactly (eq-6.4): both statements
+    smooth u with ``convolve_field``."""
+    spec = pin_outer_radius(spec, u.support_radius)
+    if kind is WeightKind.PAIR:
+        sid, field = "prop-4.4", lift_difference_quotient(u, params).label
+    else:
+        sid, field = "prop-4.5", u.label
 
-    def energy(field):
-        if is_pair:
-            return _pair_power_integral(field, params, params.a, params.a, spec)
-        return _power_integral(field, params, spec, field.label)
+    def energy(w: ScalarField) -> Estimate:
+        if kind is WeightKind.PAIR:
+            return _pair_power_integral(lift_difference_quotient(w, params), params, params.a, params.a, spec)
+        return _power_integral(w, params, spec, w.label)
 
-    den = energy(entry)
+    den = energy(u)
     if den.value <= 0.0:
-        raise DegenerateDenominator(f"zero denominator energy for {entry.label}")
-    ratios = {}
-    for eps in CONVOLUTION_EPSILONS:
-        if is_pair:
-            smoothed = star_convolve_field(entry, profile, eps, conv_grid)
-        else:
-            smoothed = convolve_field(entry, eps, profile, conv_grid)
-        ratios[float(eps)] = energy(smoothed).value / den.value
+        raise DegenerateDenominator(f"zero denominator energy for {field}")
+    ratios = {
+        float(eps): energy(convolve_field(u, eps, profile, conv_grid)).value / den.value
+        for eps in CONVOLUTION_EPSILONS
+    }
     vals = list(ratios.values())
     # the claim is a uniform-in-eps energy bound; for a unit-mass mollifier
     # Jensen gives constant 1 up to the weight constant, so the cap is 1.25
@@ -320,7 +325,7 @@ def check_star_convolution_bound(
     variation = max(abs(v - 1.0) for v in vals)
     stable = all(np.isfinite(v) for v in vals) and max(vals) <= cap
     return {
-        "statement_id": "prop-4.4" if is_pair else "prop-4.5",
+        "statement_id": sid,
         "measured_constant": float(max(vals)),
         "witness": {"epsilon": max(ratios, key=ratios.get)},
         "trials": _if_sampled(spec, spec.samples),
@@ -332,7 +337,7 @@ def check_star_convolution_bound(
             "variation_from_unity": float(variation),
             "ratio_cap": cap,
             "denominator_energy": den.value,
-            "field": entry.label,
+            "field": field,
         },
     }
 
@@ -349,8 +354,11 @@ def check_commutation_identity(
     mollifier: MollifierProfile,
     conv_grid: int,
 ) -> dict:
-    """Max residual between the diagonal-shift convolution of the lift and the
-    lift of the convolution, at COMMUTATION_POINTS random off-diagonal pairs."""
+    """Max residual between the diagonal-shift convolution of the lift,
+    (Du) star eta_eps, and the lift of the convolution, D(u * eta_eps), at
+    COMMUTATION_POINTS random off-diagonal pairs: the pointwise check of
+    the identity through which ``check_convolution_bound`` measures
+    prop-4.4."""
     n, points = params.n, COMMUTATION_POINTS
     rng = _chunk_rng(seed, 424242)
     scale = min(u.support_radius if np.isfinite(u.support_radius) else 2.0, 5.0) + epsilon
@@ -358,8 +366,7 @@ def check_commutation_identity(
     gap = 0.05 * scale + np.abs(rng.standard_normal(points)) * scale
     y = x + _directions(rng, points, n) * gap[:, None]
 
-    v = lift_difference_quotient(u, params)
-    lhs = star_convolve_field(v, mollifier, epsilon, conv_grid)(x, y)
+    lhs = star_convolve(lift_difference_quotient(u, params), mollifier, epsilon, x, y, conv_grid)
     u_eps = convolve_field(u, epsilon, mollifier, conv_grid)
     rhs = lift_difference_quotient(u_eps, params)(x, y)
     residual = float(np.max(np.abs(lhs - rhs)))

@@ -20,9 +20,9 @@ from sobolev_wlab import (
     WeightKind,
     check_averaged_weight_bound,
     check_commutation_identity,
+    check_convolution_bound,
     check_finiteness_smooth,
     check_sobolev_inequality,
-    check_star_convolution_bound,
     gaussian_field,
     hat_1d_field,
     lift_difference_quotient,
@@ -177,11 +177,8 @@ def test_criterion_05_convolution_bounds(acceptance_line):
     spec = QuadratureSpec(samples=64000, seed=SEED)
     ok = True
     maxima = {}
-    for label, entry in (
-        ("lift(gaussian)", lift_difference_quotient(gaussian_field(), params)),
-        ("gaussian", gaussian_field()),
-    ):
-        rep = check_star_convolution_bound(entry, params, default_mollifier(1), spec, 96)
+    for label, kind in (("lift(gaussian)", WeightKind.PAIR), ("gaussian", WeightKind.POINT)):
+        rep = check_convolution_bound(kind, gaussian_field(), params, default_mollifier(1), spec, 96)
         vals = list(rep["details"]["ratios"].values())
         ok = ok and rep["verdict"] == "BoundedStable" and max(vals) <= 1.25
         maxima[label] = max(vals)

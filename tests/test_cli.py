@@ -281,7 +281,7 @@ GOLDEN_RECORDS = {
     "prop-4.1": "0b5f7a0f079acc91ccc2ab985289b5a556f7bfa36d0be5d3a78ddf244db2439e",
     "prop-4.2": "ae4a6c79c55bf1fd738d9b323540300a64e5c2274dd79c2f564d86cda7c22bdc",
     "lemma-4.3": "bd04f6d55486643e697b109811be6daa13f6b71f9be1413fb7d135cc20f5db8d",
-    "prop-4.4": "6a5fb66c1ddb39def6ef197589c63c592ede0862605e77e829541edb7b8c1750",
+    "prop-4.4": "2326160b9edc9c4592b6e3d6d4a63e5fab14dd3ad7e47081316b9b52a81268d9",
     "prop-4.5": "a86b3078139a7c77986cdad09677de5f52bdf45d2fdd02ff1cd6bb77dfe55c0f",
     "lemma-5.1": "7a05914f5aaa784ac305a16171ee2ad3ca638010d33ec1c54ed16a50806cc12d",
     "eq-6.4": "a6e792f0515ec6f661b5636571eb0a9b8976f0c1b8c93096c5afba076fdc10a3",
@@ -300,7 +300,7 @@ GOLDEN_RECORDS_N2 = {
     "prop-4.1": "01b042d42556bdd7e6c30829adc8ab37fa75ed093e00235a2cdecc0aaee1720b",
     "prop-4.2": "2730bc989aec5a61d93e29dccf3f1297ef60607323f1d19a80f77f483d27c064",
     "lemma-4.3": "6642a5d608397ee2558223fcd401b6f19fb1f069a51c22f6ccf42f707aeba30d",
-    "prop-4.4": "6a868a50912096be1a7689b2cafb849efc4b4f3a0f14a0af00f3d6718b5cb55d",
+    "prop-4.4": "99224fc3832ab395be89d3ba3c4c6e6488d84260b3352f8eec57abc638c8451a",
     "eq-6.4": "22bea94c4032540e37ecc02899cadf62e1870eb28da70239ecb09ed942a42bd0",
     # at 1,024 samples both of its norms carry EstimateUnstable, so its
     # verdict is "Unstable" (the record read "Pass" before norm and approx

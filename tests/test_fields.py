@@ -24,7 +24,7 @@ from sobolev_wlab import (
     polynomial_tail_field,
     singular_spike_field,
     smooth_bump_field,
-    star_convolve_field,
+    star_convolve,
     truncate,
     validate_params,
     zero_field,
@@ -191,7 +191,13 @@ def _pair_fields(kind, n):
         return [clip_to_level(lift(u), 0.2) for u in us]
     if kind == "pair_subtract":
         return [pair_subtract(lift(gaussian_field()), lift(smooth_bump_field(1.5)))]
-    return [star_convolve_field(lift(smooth_bump_field(1.5)), default_mollifier(n), 0.5, 16)]
+    # the diagonal-shift convolution that eq-6.4 evaluates, as a pair field
+    v = lift(smooth_bump_field(1.5))
+    return [PairField(
+        label=f"star(eps=0.5,{v.label})",
+        evaluator=lambda x, y, d=None: star_convolve(v, default_mollifier(n), 0.5, x, y, 16),
+        x_support_radius=v.x_support_radius + 0.5,
+    )]
 
 
 @pytest.mark.parametrize("kind", ["lift", "lift_of_sub_rho", "clip", "pair_subtract", "star_convolve"])

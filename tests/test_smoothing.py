@@ -18,7 +18,6 @@ from sobolev_wlab import (
     smooth_bump_field,
     smoothing,
     star_convolve,
-    star_convolve_field,
     truncate,
     validate_params,
 )
@@ -284,10 +283,6 @@ def test_truncation_beyond_b_j_keeps_the_cutoff(n, rng):
 
 CONVOLVED_FIELDS = {
     "convolve_field": lambda eps, m: convolve_field(smooth_bump_field(1.0), eps, default_mollifier(1), m),
-    "star_convolve_field": lambda eps, m: star_convolve_field(
-        lift_difference_quotient(smooth_bump_field(1.0), validate_params(1, 0.3, 2.0, 0.1)),
-        default_mollifier(1), eps, m,
-    ),
     "pipeline_rho": lambda eps, m: pipeline_rho(
         smooth_bump_field(1.0), 1.0, eps, default_cutoff(), default_mollifier(1), m
     ),

@@ -11,10 +11,10 @@ from sobolev_wlab import (
     WeightKind,
     check_averaged_weight_bound,
     check_commutation_identity,
+    check_convolution_bound,
     check_finiteness_smooth,
     check_maximal_bound,
     check_sobolev_inequality,
-    check_star_convolution_bound,
     gaussian_field,
     hat_1d_field,
     lift_difference_quotient,
@@ -30,9 +30,10 @@ from sobolev_wlab import (
     validate_params,
     zero_field,
 )
-from sobolev_wlab import verification
+from sobolev_wlab import smoothing, verification
 from sobolev_wlab.fields import PairField, default_cutoff, default_mollifier
-from sobolev_wlab.quadrature import _ball_points, ball_average
+from sobolev_wlab.norms import _pair_power_integral
+from sobolev_wlab.quadrature import METHOD_TENSOR_ORACLE, _ball_points, ball_average, pin_outer_radius
 from sobolev_wlab.verification import reciprocal_weight_integrand
 
 
@@ -162,15 +163,82 @@ def test_maximal_bound_refuses_the_oracle(params1d, oracle_spec, monkeypatch):
 
 
 def test_star_bound_degenerate_denominator(params1d, fast_spec):
-    with pytest.raises(DegenerateDenominator):
-        check_star_convolution_bound(zero_field(), params1d, default_mollifier(1), fast_spec, 128)
+    for kind in WeightKind:
+        with pytest.raises(DegenerateDenominator):
+            check_convolution_bound(kind, zero_field(), params1d, default_mollifier(1), fast_spec, 128)
 
 
 def test_star_bound_point_case(params1d, fast_spec, monkeypatch):
     monkeypatch.setattr(verification, "CONVOLUTION_EPSILONS", (0.5, 0.1))
-    rep = check_star_convolution_bound(gaussian_field(), params1d, default_mollifier(1), fast_spec, 96)
+    rep = check_convolution_bound(
+        WeightKind.POINT, gaussian_field(), params1d, default_mollifier(1), fast_spec, 96
+    )
     assert rep["verdict"] == "BoundedStable"
     assert all(v <= 1.25 for v in rep["details"]["ratios"].values())
+
+
+def _star_route_ratios(u, params, spec, conv_grid):
+    """prop-4.4's ratios with the smoothed entry taken as the diagonal-shift
+    convolution of the lift, (Du) star eta_eps by ``star_convolve``, instead
+    of the lift of the convolution: the reference route of the identity."""
+    spec = pin_outer_radius(spec, u.support_radius)
+    v = lift_difference_quotient(u, params)
+    eta = default_mollifier(params.n)
+
+    def energy(w):
+        return _pair_power_integral(w, params, params.a, params.a, spec).value
+
+    def star(eps):
+        return PairField(
+            label=f"star(eps={eps},{v.label})",
+            evaluator=lambda x, y, d=None: smoothing.star_convolve(v, eta, eps, x, y, conv_grid),
+            x_support_radius=v.x_support_radius + eps,
+        )
+
+    den = energy(v)
+    return {str(float(eps)): energy(star(eps)) / den for eps in verification.CONVOLUTION_EPSILONS}
+
+
+@pytest.mark.parametrize("n,spec,conv_grid,rel", [
+    (1, QuadratureSpec(samples=6400, seed=7), 32, 1e-12),
+    (1, QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=64), 32, 1e-12),
+    (2, QuadratureSpec(samples=6400, seed=7), 16, 1e-5),
+], ids=["n1", "n1-oracle", "n2"])
+def test_pair_bound_matches_the_star_route(n, spec, conv_grid, rel):
+    """prop-4.4 smooths u and lifts it, D(u * eta_eps); the star route
+    convolves the lift, (Du) star eta_eps, on the same radial nodes.  The
+    two agree up to the angular rules of the two convolutions, which in
+    n = 2 differ by up to about 5e-5 of a value at eps = 1 (16 aligned
+    nodes against 64 angles): these ratios differ by 1.3e-6 at eps = 1
+    here, and by 2.2e-5 on the 1,024 samples of the same seed."""
+    params = validate_params(n, 0.3, 2.0, 0.1)
+    u = smooth_bump_field(1.0)
+    rep = check_convolution_bound(WeightKind.PAIR, u, params, default_mollifier(n), spec, conv_grid)
+    star = _star_route_ratios(u, params, spec, conv_grid)
+    assert rep["details"]["field"] == lift_difference_quotient(u, params).label
+    assert rep["details"]["ratios"] == pytest.approx(star, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_convolution_bound_negative_control(kind, params1d, monkeypatch):
+    """A mollifier of mass 1.3 scales the smoothed field by 1.3 and its
+    energy by 1.3^p (pair) or 1.3^p* (point), so the bound must fail: the
+    ratio at eps = 0.1, which is about 1 at unit mass, rises far past the
+    1.25 cap.  The module-level conv_nodes is patched, so no unit-mass node
+    set of its cache is read."""
+    spec = QuadratureSpec(samples=6400, seed=7)
+    u, eta = smooth_bump_field(1.0), default_mollifier(1)
+    assert check_convolution_bound(kind, u, params1d, eta, spec, 32)["verdict"] == "BoundedStable"
+    unit_mass = smoothing.conv_nodes
+
+    def heavy(*args):
+        z, w = unit_mass(*args)
+        return z, 1.3 * w
+
+    monkeypatch.setattr(smoothing, "conv_nodes", heavy)
+    rep = check_convolution_bound(kind, u, params1d, eta, spec, 32)
+    assert rep["verdict"] == "Unstable"
+    assert rep["details"]["ratios"]["0.1"] > 1.5
 
 
 def test_commutation_identity_all_catalog(params1d):
@@ -268,8 +336,9 @@ def test_prop_4_5_energies_use_the_oracle(params1d, oracle_spec, monkeypatch):
     monkeypatch.setattr(verification, "CONVOLUTION_EPSILONS", (0.5,))
     u = smooth_bump_field(1.0)
     reps = [
-        check_star_convolution_bound(
-            u, params1d, default_mollifier(1), replace(oracle_spec, samples=samples, seed=seed), 32
+        check_convolution_bound(
+            WeightKind.POINT, u, params1d, default_mollifier(1),
+            replace(oracle_spec, samples=samples, seed=seed), 32,
         )
         for samples, seed in ((6400, 1), (64000, 2))
     ]

@@ -19,6 +19,7 @@ from sobolev_wlab import (
     check_maximal_bound,
     hat_1d_field,
     convolve,
+    convolve_field,
     estimate_pair_integral_singular,
     estimate_weighted_integral_Rn,
     lift_difference_quotient,
@@ -33,7 +34,6 @@ from sobolev_wlab import (
     smooth_bump_field,
     smoothing,
     star_convolve,
-    star_convolve_field,
     validate_general_weights,
     validate_params,
 )
@@ -78,8 +78,6 @@ def _estimators():
     params1 = validate_params(1, 0.3, 2.0, 0.1)
     v = lift_difference_quotient(smooth_bump_field(1.0), params1)
     g = lambda x, y, d=None: np.abs(v(x, y, d)) ** 2  # noqa: E731
-    star = star_convolve_field(v, default_mollifier(1), 0.1, 8)
-    g_star = lambda x, y, d=None: np.abs(star(x, y, d)) ** 2  # noqa: E731
     V = lift_difference_quotient(smooth_bump_field(1.0), validate_params(2, 0.3, 2.0, 0.1))
     conv = {
         n: (
@@ -93,7 +91,7 @@ def _estimators():
     oracle = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=512)
     # budgets of 2 to 64 groups of GROUP_POINTS points, convolutions of
     # 3,000 points in 6 to 18 blocks, and pair oracles whose finest z block
-    # fills in 7 row groups (2 for the star-convolved field)
+    # fills in 7 row groups (2 at grid 256)
     return {
         "convolve_n2": lambda: convolve(smooth_bump_field(1.0), 0.1, eta, x, 128).tolist(),
         "star_convolve_n2": lambda: star_convolve(V, eta, 0.1, x, y, 32).tolist(),
@@ -124,8 +122,10 @@ def _estimators():
         "oracle_seminorm_general": lambda: seminorm_general(
             smooth_bump_field(1.0), params1, validate_general_weights(params1, 0.2, 0.0), oracle
         ),
-        "oracle_pair_star_convolve": lambda: oracle_pair_integral_1d(
-            g_star, 0.1, 0.1, 1.1, 2.2, QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=256)
+        # a kinked field's convolution, read point by point in each row group
+        "oracle_seminorm_convolve_field": lambda: seminorm_wspa(
+            convolve_field(hat_1d_field(), 0.1, default_mollifier(1), 8), params1,
+            QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=256),
         ),
     }
 
