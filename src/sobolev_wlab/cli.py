@@ -206,8 +206,8 @@ def parse_config(argv) -> RunConfig:
         raise UsageError("missing command (norm | approx | verify | sweep | catalog)")
 
     options = {key: default for key, (default, _) in _OPTIONS.items()}
-    if getattr(ns, "config", None):
-        options.update(read_config_file(ns.config))
+    from_file = read_config_file(ns.config) if getattr(ns, "config", None) else {}
+    options.update(from_file)
     for key in _OPTIONS:
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
@@ -224,7 +224,12 @@ def parse_config(argv) -> RunConfig:
     statement_id = getattr(ns, "statement_id", "") or getattr(ns, "action", "")
     if ns.command in ("norm", "approx", "verify"):
         # fail fast on bad ranges before any computation
-        _space(options)
+        params = _space(options)
+        field_given = "field" in from_file or ns.field is not None
+        own = _own_fields(statement_id, params) if ns.command == "verify" and field_given else None
+        if own is not None:
+            uses = f"its own field {', '.join(u.label for u in own)}" if own else "no field"
+            raise UsageError(f"{statement_id} uses {uses}; it does not read --field")
     return RunConfig(command=ns.command, statement_id=statement_id, options=options)
 
 
@@ -299,61 +304,62 @@ def _admissible_grid(params, count: int = 3) -> list:
     return [validate_general_weights(params, float(al), float(be)) for al in vals for be in vals]
 
 
+def _own_fields(sid: str, params) -> list | None:
+    """The fields statement ``sid`` fixes for itself (none for the weight
+    bounds), or None for a statement that reads --field."""
+    if sid == "lemma-2.1":
+        return [smooth_bump_field(1.0)]
+    if sid == "sobolev-ineq":
+        return [smooth_bump_field(1.0), smooth_bump_field(3.0)]
+    if sid in ("lemma-3.1", "theorem-1.1"):
+        return [polynomial_tail_field(3.0)]
+    if sid in ("prop-4.1", "prop-4.2"):
+        return []
+    if sid in ("lemma-4.3", "lemma-5.1") and params.n > 1:
+        return [smooth_bump_field(1.0)]
+    if sid == "lemma-4.3":
+        return [hat_1d_field()]
+    if sid == "lemma-5.1":
+        return [make_field("singular_spike", space=params, gamma=0.2, R=1.0)]
+    return None
+
+
 def _run_verify(config: RunConfig) -> tuple:
     opts = config.options
     sid = config.statement_id
     params = _space(opts)
     spec = _spec(opts)
-    cutoff = default_cutoff()
     if sid in ("prop-4.1", "prop-4.2") and spec.method == METHOD_TENSOR_ORACLE:
         raise OracleUnavailable(f"{sid} is Monte Carlo only; it has no tensor-oracle path")
+    own = _own_fields(sid, params)
+    fields = [field_from_spec(opts["field"], space=params)] if own is None else own
+    u = fields[0] if fields else None
 
     extra = {}
     if sid == "lemma-2.1":
-        rep = check_finiteness_smooth(smooth_bump_field(1.0), params, _admissible_grid(params), spec)
+        rep = check_finiteness_smooth(u, params, _admissible_grid(params), spec)
     elif sid == "lemma-3.1":
-        rep = run_truncation_convergence(
-            polynomial_tail_field(3.0), params, _float_ladder(opts, [1, 2, 4, 8, 16]), spec, cutoff
-        )
+        rep = run_truncation_convergence(u, params, _float_ladder(opts, [1, 2, 4, 8, 16]), spec)
     elif sid in ("prop-4.1", "prop-4.2"):
         kind = WeightKind.PAIR if sid == "prop-4.1" else WeightKind.POINT
         rep = check_averaged_weight_bound(kind, params, opts["trials"], opts["seed"])
     elif sid == "lemma-4.3":
-        base = hat_1d_field() if params.n == 1 else smooth_bump_field(1.0)
-        V = lift_difference_quotient(base, params)
-        rep = check_maximal_bound(V, params, spec)
+        rep = check_maximal_bound(lift_difference_quotient(u, params), params, spec)
     elif sid in ("prop-4.4", "prop-4.5"):
         kind = WeightKind.PAIR if sid == "prop-4.4" else WeightKind.POINT
-        u = field_from_spec(opts["field"], space=params)
-        rep = check_convolution_bound(kind, u, params, default_mollifier(params.n), spec, opts["conv_grid"])
+        rep = check_convolution_bound(kind, u, params, spec, opts["conv_grid"])
     elif sid == "lemma-5.1":
-        if params.n == 1:
-            base = make_field("singular_spike", space=params, gamma=0.2, R=1.0)
-        else:
-            base = smooth_bump_field(1.0)
-        v = lift_difference_quotient(base, params)
+        v = lift_difference_quotient(u, params)
         rep = run_clipping_convergence(v, params, _float_ladder(opts, [1, 4, 16, 64, 256]), spec)
     elif sid == "eq-6.4":
-        u = field_from_spec(opts["field"], space=params)
-        rep = check_commutation_identity(
-            u, params, opts["eps"], opts["seed"], default_mollifier(params.n), opts["conv_grid"]
-        )
+        rep = check_commutation_identity(u, params, opts["eps"], opts["seed"], opts["conv_grid"])
     elif sid == "lemma-6.1":
-        u = field_from_spec(opts["field"], space=params)
-        rep = run_mollification_convergence(
-            u, params, _float_ladder(opts, [1, 0.5, 0.25, 0.1, 0.05]), spec,
-            default_mollifier(params.n), opts["conv_grid"],
-        )
+        ladder = _float_ladder(opts, [1, 0.5, 0.25, 0.1, 0.05])
+        rep = run_mollification_convergence(u, params, ladder, spec, opts["conv_grid"])
     elif sid == "theorem-1.1":
-        u = polynomial_tail_field(3.0)
-        base = norm_full(u, params, spec)
-        extra["base_norm"] = base
-        rep = run_density_experiment(
-            u, params, opts["delta_frac"] * base.full, spec, cutoff, default_mollifier(params.n),
-            opts["conv_grid"],
-        )
+        base = extra["base_norm"] = norm_full(u, params, spec)
+        rep = run_density_experiment(u, params, opts["delta_frac"] * base.full, spec, opts["conv_grid"])
     elif sid == "sobolev-ineq":
-        fields = [smooth_bump_field(1.0), smooth_bump_field(3.0)]
         rep = check_sobolev_inequality(fields, params, spec)
     else:
         raise UsageError(f"unknown statement id {sid!r}")

@@ -17,10 +17,8 @@ from .fields import PairField, ScalarField, lift_difference_quotient
 from .params import GeneralWeightParams, SpaceParams
 from .quadrature import (
     Estimate,
-    FLAG_UNRELIABLE,
     METHOD_TENSOR_ORACLE,
     QuadratureSpec,
-    _merge_flags,
     estimate_pair_integral_singular,
     estimate_weighted_integral_Rn,
     oracle_pair_integral_1d,
@@ -41,24 +39,24 @@ class NormReport:
 
 
 def _root(est: Estimate, power: float) -> Estimate:
-    """x -> x^(1/power) with first-order delta-method error propagation."""
+    """x -> x^(1/power) with first-order delta-method error propagation.
+
+    The raw estimate's flags pass on unchanged: whether it is unstable was
+    decided where it was made (``quadrature._estimate``)."""
     inv = 1.0 / power
     raw = max(est.value, 0.0)
     value = raw**inv
-    flags = est.flags
     if raw == 0.0:
         stderr = est.stderr**inv
     else:
         stderr = est.stderr * inv * raw ** (inv - 1.0)
-        if est.stderr > 0.5 * raw:
-            flags = _merge_flags(flags, (FLAG_UNRELIABLE,))
     return Estimate(
         value=float(value),
         stderr=float(stderr),
         samples_used=est.samples_used,
         spec_digest=est.spec_digest,
         tail_truncation_bound=est.tail_truncation_bound,
-        flags=flags,
+        flags=est.flags,
     )
 
 

@@ -116,7 +116,6 @@ ORACLE_CELL_FLOOR = 1e-8
 ORACLE_GROUP_POINTS = 1 << 16
 
 FLAG_UNSTABLE = "EstimateUnstable"
-FLAG_UNRELIABLE = "Unreliable"
 
 
 @dataclass(frozen=True)
@@ -172,12 +171,22 @@ def _merge_flags(*groups) -> tuple:
 
 @dataclass(frozen=True)
 class Estimate:
+    """A value and its error bar (the chunk stderr, or the oracle's
+    refinement difference), flagged by ``_estimate``."""
+
     value: float
     stderr: float
     samples_used: int
     spec_digest: str
     tail_truncation_bound: float = 0.0
     flags: tuple = ()
+
+
+def _estimate(value: float, stderr: float, samples_used: int, digest: str) -> Estimate:
+    """The raw estimate, flagged EstimateUnstable when its value is not 0
+    and its stderr exceeds a quarter of |value|."""
+    flags = (FLAG_UNSTABLE,) if value != 0.0 and stderr > 0.25 * abs(value) else ()
+    return Estimate(value=value, stderr=stderr, samples_used=samples_used, spec_digest=digest, flags=flags)
 
 
 def resolve_outer_radius(spec: QuadratureSpec, support_radius: float) -> float:
@@ -370,18 +379,10 @@ def _fold_chunks(
 
 
 def _combine_chunks(chunk_means: np.ndarray, samples_used: int, digest: str) -> Estimate:
+    """The mean of the chunk means and its standard error, flagged by ``_estimate``."""
     value = float(np.sum(chunk_means) / len(chunk_means))
     stderr = float(np.std(chunk_means, ddof=1) / np.sqrt(len(chunk_means)))
-    flags = ()
-    if value != 0.0 and stderr > 0.25 * abs(value):
-        flags = (FLAG_UNSTABLE,)
-    return Estimate(
-        value=value,
-        stderr=stderr,
-        samples_used=samples_used,
-        spec_digest=digest,
-        flags=flags,
-    )
+    return _estimate(value, stderr, samples_used, digest)
 
 
 def estimate_weighted_integral_Rn(
@@ -565,14 +566,11 @@ def oracle_weighted_integral_1d(
 ) -> Estimate:
     """Deterministic estimate of int_R f(x) |x|^(-c) dx with graded midpoint
     cells, on the spec's grid.  f must be even, f(-x) == f(x): the rule
-    evaluates it on x > 0 only and doubles the sum."""
+    evaluates it on x > 0 only and doubles the sum.  Its stderr is
+    |fine - mid|, flagged by ``_estimate`` as a chunk stderr is."""
     _, mid, fine = _refine(lambda cells: _oracle_weighted_1d_once(f, c, x_max, cells), spec.grid_points)
-    return Estimate(
-        value=fine,
-        stderr=abs(fine - mid),
-        samples_used=2 * (spec.grid_points + 1),
-        spec_digest=spec.digest(f"oracle1d:{label}:c={c}:xmax={x_max}"),
-    )
+    digest = spec.digest(f"oracle1d:{label}:c={c}:xmax={x_max}")
+    return _estimate(fine, abs(fine - mid), 2 * (spec.grid_points + 1), digest)
 
 
 def _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells) -> float:
@@ -667,16 +665,13 @@ def oracle_pair_integral_1d(
     on the worker threads (``_on_workers``), so g must be safe to call from
     several threads; their terms are contracted on the calling thread in
     the order of a whole-block pass, so the value does not depend on the
-    worker count."""
+    worker count.  Its stderr is |fine - mid| + |mid - coarse|, flagged by
+    ``_estimate`` as a chunk stderr is."""
     coarse, mid, fine = _refine(
         lambda cells: _oracle_pair_1d_once(g, alpha, beta, x_max, z_max, cells), spec.grid_points
     )
-    return Estimate(
-        value=fine,
-        stderr=abs(fine - mid) + abs(mid - coarse),
-        samples_used=(2 * (spec.grid_points + 1)) ** 2,
-        spec_digest=spec.digest(f"oracle2d:{label}:a={alpha}:b={beta}:xmax={x_max}:zmax={z_max}"),
-    )
+    digest = spec.digest(f"oracle2d:{label}:a={alpha}:b={beta}:xmax={x_max}:zmax={z_max}")
+    return _estimate(fine, abs(fine - mid) + abs(mid - coarse), (2 * (spec.grid_points + 1)) ** 2, digest)
 
 
 def tensor_oracle_1d_available(n: int) -> None:

@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import DegenerateDenominator, OracleUnavailable, ParameterOutOfRange
 from .fields import (
-    CutoffProfile,
-    MollifierProfile,
     PairField,
     ScalarField,
     ball_volume,
     clip_to_level,
+    default_cutoff,
+    default_mollifier,
     dilate,
     lift_difference_quotient,
     pair_subtract,
@@ -93,12 +93,13 @@ def _full_norm_estimate(u: ScalarField, params: SpaceParams, spec: QuadratureSpe
     )
 
 
-def _truncation_error(u, j, cutoff, params, spec) -> Estimate:
-    return _full_norm_estimate(subtract(u, truncate(u, j, cutoff)), params, spec)
+def _truncation_error(u, j, params, spec) -> Estimate:
+    return _full_norm_estimate(subtract(u, truncate(u, j, default_cutoff())), params, spec)
 
 
-def _mollification_error(u, eps, mollifier, conv_grid, params, spec) -> Estimate:
-    return _full_norm_estimate(subtract(u, convolve_field(u, eps, mollifier, conv_grid)), params, spec)
+def _mollification_error(u, eps, conv_grid, params, spec) -> Estimate:
+    eta = default_mollifier(params.n)
+    return _full_norm_estimate(subtract(u, convolve_field(u, eps, eta, conv_grid)), params, spec)
 
 
 def _ladder_report(statement_id: str, knob: str, ladder: Sequence[float],
@@ -289,7 +290,6 @@ def check_convolution_bound(
     kind: WeightKind,
     u: ScalarField,
     params: SpaceParams,
-    profile: MollifierProfile,
     spec: QuadratureSpec,
     conv_grid: int,
 ) -> dict:
@@ -299,8 +299,9 @@ def check_convolution_bound(
     weight (prop-4.5), of (Du) star eta_eps to the lift Du in L^p_{a,a} for
     the pair weight (prop-4.4).  A diagonal shift keeps |x - y|, so
     (Du) star eta_eps is D(u * eta_eps) exactly (eq-6.4): both statements
-    smooth u with ``convolve_field``."""
+    smooth u with ``convolve_field`` and the default mollifier."""
     spec = pin_outer_radius(spec, u.support_radius)
+    eta = default_mollifier(params.n)
     if kind is WeightKind.PAIR:
         sid, field = "prop-4.4", lift_difference_quotient(u, params).label
     else:
@@ -315,7 +316,7 @@ def check_convolution_bound(
     if den.value <= 0.0:
         raise DegenerateDenominator(f"zero denominator energy for {field}")
     ratios = {
-        float(eps): energy(convolve_field(u, eps, profile, conv_grid)).value / den.value
+        float(eps): energy(convolve_field(u, eps, eta, conv_grid)).value / den.value
         for eps in CONVOLUTION_EPSILONS
     }
     vals = list(ratios.values())
@@ -351,15 +352,15 @@ def check_commutation_identity(
     params: SpaceParams,
     epsilon: float,
     seed: int,
-    mollifier: MollifierProfile,
     conv_grid: int,
 ) -> dict:
     """Max residual between the diagonal-shift convolution of the lift,
     (Du) star eta_eps, and the lift of the convolution, D(u * eta_eps), at
-    COMMUTATION_POINTS random off-diagonal pairs: the pointwise check of
-    the identity through which ``check_convolution_bound`` measures
-    prop-4.4."""
+    COMMUTATION_POINTS random off-diagonal pairs, for the default
+    mollifier: the pointwise check of the identity through which
+    ``check_convolution_bound`` measures prop-4.4."""
     n, points = params.n, COMMUTATION_POINTS
+    mollifier = default_mollifier(n)
     rng = _chunk_rng(seed, 424242)
     scale = min(u.support_radius if np.isfinite(u.support_radius) else 2.0, 5.0) + epsilon
     x = rng.standard_normal((points, n)) * scale
@@ -394,12 +395,13 @@ def run_truncation_convergence(
     params: SpaceParams,
     j_ladder: Sequence[float],
     spec: QuadratureSpec,
-    cutoff: CutoffProfile,
 ) -> dict:
+    """The full-norm error of truncating u with the default cutoff, along
+    the ladder of j."""
     spec = pin_outer_radius(spec, u.support_radius)
     return _ladder_report(
         "lemma-3.1", "j", j_ladder,
-        lambda j: _truncation_error(u, j, cutoff, params, spec), params, {"field": u.label},
+        lambda j: _truncation_error(u, j, params, spec), params, {"field": u.label},
     )
 
 
@@ -408,13 +410,14 @@ def run_mollification_convergence(
     params: SpaceParams,
     eps_ladder: Sequence[float],
     spec: QuadratureSpec,
-    mollifier: MollifierProfile,
     conv_grid: int,
 ) -> dict:
+    """The full-norm error of mollifying u with the default mollifier,
+    along the ladder of epsilon."""
     spec = pin_outer_radius(spec, u.support_radius)
     return _ladder_report(
         "lemma-6.1", "epsilon", eps_ladder,
-        lambda eps: _mollification_error(u, eps, mollifier, conv_grid, params, spec),
+        lambda eps: _mollification_error(u, eps, conv_grid, params, spec),
         params, {"field": u.label, "conv_grid": conv_grid},
     )
 
@@ -439,12 +442,11 @@ def run_density_experiment(
     params: SpaceParams,
     delta: float,
     spec: QuadratureSpec,
-    cutoff: CutoffProfile,
-    mollifier: MollifierProfile,
     conv_grid: int,
 ) -> dict:
-    """The end-to-end schedule: find j with truncation error below delta/2 by
-    doubling, then epsilon with mollification error below delta/2 by halving."""
+    """The end-to-end schedule, with the default cutoff and mollifier: find
+    j with truncation error below delta/2 by doubling, then epsilon with
+    mollification error below delta/2 by halving."""
     if delta <= 0:
         raise ParameterOutOfRange("delta must be positive")
     spec = pin_outer_radius(spec, u.support_radius)
@@ -464,16 +466,14 @@ def run_density_experiment(
     def failure(stage, **found):
         return {**head, "verdict": "FailureAtBudget", "stage": stage, **found, "max_steps": DENSITY_MAX_STEPS}
 
-    j, trunc_err = search(lambda j: _truncation_error(u, j, cutoff, params, spec), 1.0, 2.0)
+    j, trunc_err = search(lambda j: _truncation_error(u, j, params, spec), 1.0, 2.0)
     if j is None:
         return failure("truncation")
-    w = truncate(u, j, cutoff)
-    eps, moll_err = search(
-        lambda eps: _mollification_error(w, eps, mollifier, conv_grid, params, spec), 1.0, 0.5
-    )
+    w = truncate(u, j, default_cutoff())
+    eps, moll_err = search(lambda eps: _mollification_error(w, eps, conv_grid, params, spec), 1.0, 0.5)
     if eps is None:
         return failure("mollification", j=j)
-    rho = pipeline_rho(u, j, eps, cutoff, mollifier, conv_grid)
+    rho = pipeline_rho(u, j, eps, default_cutoff(), default_mollifier(params.n), conv_grid)
     return {
         **head,
         "verdict": "Success",
@@ -493,7 +493,8 @@ def run_density_experiment(
 
 def estimate_unstable(est: Estimate) -> bool:
     """Whether an estimate cannot back a passing verdict: it is non-finite
-    or its chunk stderr exceeds a quarter of its value."""
+    or flagged EstimateUnstable, its error bar (chunk stderr or oracle
+    refinement difference) above a quarter of its raw value."""
     return (not np.isfinite(est.value)) or (FLAG_UNSTABLE in est.flags)
 
 

@@ -108,7 +108,7 @@ def test_criterion_03_commutation_identity(acceptance_line):
     worst = 0.0
     ok = True
     for u in fields:
-        rep = check_commutation_identity(u, params, 0.2, SEED, default_mollifier(1), 128)
+        rep = check_commutation_identity(u, params, 0.2, SEED, 128)
         ok = ok and rep["verdict"] == "Pass"
         worst = max(worst, rep["max_residual"] / max(rep["reference_scale"], 1e-300))
     acceptance_line(
@@ -178,7 +178,7 @@ def test_criterion_05_convolution_bounds(acceptance_line):
     ok = True
     maxima = {}
     for label, kind in (("lift(gaussian)", WeightKind.PAIR), ("gaussian", WeightKind.POINT)):
-        rep = check_convolution_bound(kind, gaussian_field(), params, default_mollifier(1), spec, 96)
+        rep = check_convolution_bound(kind, gaussian_field(), params, spec, 96)
         vals = list(rep["details"]["ratios"].values())
         ok = ok and rep["verdict"] == "BoundedStable" and max(vals) <= 1.25
         maxima[label] = max(vals)
@@ -198,14 +198,10 @@ def test_criterion_06_truncation_convergence(acceptance_line):
             validate_params(1, s, p, a)
     params = validate_params(1, 0.3, 2.0, 0.1)
     spec = QuadratureSpec(samples=128000, seed=SEED)
-    rep = run_truncation_convergence(
-        polynomial_tail_field(3.0), params, [1, 2, 4, 8, 16], spec, default_cutoff()
-    )
+    rep = run_truncation_convergence(polynomial_tail_field(3.0), params, [1, 2, 4, 8, 16], spec)
     vals = [e.value for e in rep["errors"]]
     ok = rep["verdict"] == "Decreasing" and vals[-1] <= 0.1 * vals[0]
-    compact = run_truncation_convergence(
-        smooth_bump_field(1.0), params, [1, 2], spec, default_cutoff()
-    )
+    compact = run_truncation_convergence(smooth_bump_field(1.0), params, [1, 2], spec)
     ok = ok and all(e.value == 0.0 for e in compact["errors"])
     acceptance_line(
         f"[criterion-06] truncation convergence (final/initial "
@@ -221,9 +217,7 @@ def test_criterion_07_mollification_convergence(acceptance_line):
     ok = True
     ratios = {}
     for name, u in (("smooth_bump", smooth_bump_field(1.0)), ("hat_1d", hat_1d_field())):
-        rep = run_mollification_convergence(
-            u, params, [1, 0.5, 0.25, 0.1, 0.05], spec, default_mollifier(1), 96
-        )
+        rep = run_mollification_convergence(u, params, [1, 0.5, 0.25, 0.1, 0.05], spec, 96)
         vals = [e.value for e in rep["errors"]]
         ok = ok and rep["verdict"] == "Decreasing" and vals[-1] <= 0.1 * vals[0]
         ratios[name] = vals[-1] / vals[0]
@@ -240,9 +234,7 @@ def test_criterion_08_density_end_to_end(acceptance_line):
     spec = QuadratureSpec(samples=64000, seed=SEED)
     u = polynomial_tail_field(3.0)
     delta = 0.2 * norm_full(u, params, spec).full
-    rep = run_density_experiment(
-        u, params, delta, spec, default_cutoff(), default_mollifier(1), 96
-    )
+    rep = run_density_experiment(u, params, delta, spec, 96)
     ok = rep["verdict"] == "Success"
     if ok:
         from sobolev_wlab import pipeline_rho

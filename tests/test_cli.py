@@ -273,6 +273,59 @@ def test_monte_carlo_only_statements_refuse_the_oracle(sid, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_oracle_error_bar_reaches_the_verdict(tmp_path):
+    """The oracle's error bar is its refinement difference, and a verdict
+    reads it as it reads a chunk stderr.  At grid 64 the gaussian's seminorm
+    reads 3.109 +- 1.247 (2.9529 at grid 4096) and its critical norm
+    1.184 +- 0.085, both bars above a quarter of the raw integral.  At grid
+    256 six of lemma-2.1's nine cells carry bars of 26-38%; at 512, where
+    test_oracle_records_state_no_monte_carlo_budget runs it, at most 19%."""
+    oracle = [*BASE, "--method", "tensor_oracle_1d", "--out", str(tmp_path)]
+    assert main(["norm", *oracle, "--field", "gaussian", "--grid-points", "64"]) == 1
+    record = json.loads((tmp_path / "norm.json").read_text())
+    assert record["verdicts"] == ["Unstable"]
+    assert all(record["outputs"]["report"][k]["flags"] == ["EstimateUnstable"] for k in ("seminorm", "lpstar"))
+    assert main(["verify", "lemma-2.1", *oracle, "--grid-points", "256"]) == 1
+    report = json.loads((tmp_path / "verify_lemma-2.1.json").read_text())["outputs"]["report"]
+    assert (report["verdict"], report["unstable_count"]) == ("Unstable", 6)
+
+
+# the field each statement that fixes its own names when refusing --field, in n = 1
+OWN_FIELDS = {
+    "lemma-2.1": "its own field smooth_bump(R=1.0)",
+    "lemma-3.1": "its own field polynomial_tail(gamma=3.0)",
+    "prop-4.1": "no field",
+    "prop-4.2": "no field",
+    "lemma-4.3": "its own field hat_1d",
+    "lemma-5.1": "its own field singular_spike(gamma=0.2,R=1.0)",
+    "theorem-1.1": "its own field polynomial_tail(gamma=3.0)",
+    "sobolev-ineq": "its own field smooth_bump(R=1.0), smooth_bump(R=3.0)",
+}
+
+
+@pytest.mark.parametrize("sid", list(OWN_FIELDS))
+def test_statement_with_its_own_field_refuses_field(sid, tmp_path, capsys):
+    """A statement that fixes its field exits 2 on --field, naming the field
+    it uses, before anything runs."""
+    out = tmp_path / "out"
+    assert main(["verify", sid, *BASE, "--field", "gaussian", "--out", str(out)]) == 2
+    assert f"{sid} uses {OWN_FIELDS[sid]}; it does not read --field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_field_config_line_is_refused_alike(tmp_path, capsys):
+    """A field config line is refused as the flag is, and read where the
+    statement reads a field."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field = gaussian\n")
+    out = tmp_path / "out"
+    assert main(["verify", "lemma-3.1", *BASE, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "lemma-3.1 uses its own field polynomial_tail(gamma=3.0)" in capsys.readouterr().err
+    assert not out.exists()
+    for sid in ("prop-4.4", "prop-4.5", "eq-6.4", "lemma-6.1"):
+        assert parse_config(["verify", sid, *BASE, "--config", str(cfg)]).options["field"] == "gaussian"
+
+
 # sha256 of the canonical JSON of each record (timestamp and out dir dropped)
 # at n=1, s=0.3, p=2, a=0.1, seed 7, 6,400 samples, 20 trials, conv grid 32
 GOLDEN_RECORDS = {
@@ -283,7 +336,7 @@ GOLDEN_RECORDS = {
     "lemma-4.3": "bd04f6d55486643e697b109811be6daa13f6b71f9be1413fb7d135cc20f5db8d",
     "prop-4.4": "2326160b9edc9c4592b6e3d6d4a63e5fab14dd3ad7e47081316b9b52a81268d9",
     "prop-4.5": "a86b3078139a7c77986cdad09677de5f52bdf45d2fdd02ff1cd6bb77dfe55c0f",
-    "lemma-5.1": "7a05914f5aaa784ac305a16171ee2ad3ca638010d33ec1c54ed16a50806cc12d",
+    "lemma-5.1": "01a728baba54c0a217abb32ac201def877a1a03cf611bfad9e8bd9403028e073",
     "eq-6.4": "a6e792f0515ec6f661b5636571eb0a9b8976f0c1b8c93096c5afba076fdc10a3",
     "lemma-6.1": "68e9516fbccd13406c8f6cee5092ba850c22129b74c928f496afc0b5ed278660",
     "theorem-1.1": "e17b4d8c59fe6a2499f5a476c4a469f4db2985ac860daccdd3fa11c1d331ec1d",
@@ -305,7 +358,7 @@ GOLDEN_RECORDS_N2 = {
     # at 1,024 samples both of its norms carry EstimateUnstable, so its
     # verdict is "Unstable" (the record read "Pass" before norm and approx
     # judged their estimates)
-    "approx": "778833d75528ede8fd3e7e9e1740faaffe13faf425b75a6ee5ff32ee591d32af",
+    "approx": "f631024822f18283d8ae2f9501cb696f3b5aa8e8401b18302e4595b7ccc22fd0",
 }
 # the runs whose verdict fails, with exit code 1
 UNSTABLE_N2 = ("approx",)
@@ -339,8 +392,10 @@ def test_records_golden(tmp_path, capsys):
     assert _record_digests(commands_n2, run_args_n2, tmp_path / "n2", UNSTABLE_N2) == GOLDEN_RECORDS_N2
 
 
-# a small oracle grid on which the statement's refinement check passes
-@pytest.mark.parametrize("sid,grid", [("prop-4.4", 64), ("prop-4.5", 256), ("lemma-2.1", 256),
+# a small oracle grid on which the statement's refinement check passes and
+# its verdict holds: lemma-2.1 needs 512, since at 256 six of its nine
+# (alpha, beta) cells carry oracle error bars of 26-38% and read Unstable
+@pytest.mark.parametrize("sid,grid", [("prop-4.4", 64), ("prop-4.5", 256), ("lemma-2.1", 512),
                                       ("sobolev-ineq", 256)])
 def test_oracle_records_state_no_monte_carlo_budget(sid, grid, tmp_path):
     """The oracle draws no samples, so its records give no sample budget and

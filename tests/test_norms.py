@@ -1,5 +1,5 @@
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 import subprocess
 import sys
 
@@ -8,6 +8,7 @@ import pytest
 
 from sobolev_wlab import (
     QuadratureSpec,
+    gaussian_field,
     hat_1d_field,
     lift_difference_quotient,
     norm_full,
@@ -21,7 +22,7 @@ from sobolev_wlab import (
     zero_field,
 )
 from sobolev_wlab.fields import ScalarField
-from sobolev_wlab.quadrature import FLAG_UNRELIABLE
+from sobolev_wlab.quadrature import FLAG_UNSTABLE
 
 
 def test_bridge_identity_bit_exact(params1d, fast_spec):
@@ -88,17 +89,31 @@ def test_general_seminorm_matches_pair_norm_at_a(params1d, fast_spec):
     assert raw.value == pytest.approx(semi.value ** params1d.p, rel=1e-10)
 
 
-def test_unreliable_flag_propagates(params1d):
-    # absurdly small budget on a spiky integrand tends to be flagged;
-    # here just check the flag logic via a hand-built case
+def test_root_passes_flags_on():
+    """Instability is decided on the raw estimate, where it is made; the
+    root passes the raw flags on and adds none, however wide the bar."""
     from sobolev_wlab.norms import _root
     from sobolev_wlab.quadrature import Estimate
 
-    noisy = Estimate(value=1.0, stderr=0.9, samples_used=10, spec_digest="d")
-    rooted = _root(noisy, 2.0)
-    assert FLAG_UNRELIABLE in rooted.flags
-    clean = _root(Estimate(value=1.0, stderr=0.01, samples_used=10, spec_digest="d"), 2.0)
-    assert FLAG_UNRELIABLE not in clean.flags
+    noisy = _root(Estimate(value=1.0, stderr=0.9, samples_used=10, spec_digest="d"), 2.0)
+    assert noisy.flags == ()
+    assert noisy.stderr == pytest.approx(0.45)
+    flagged = Estimate(value=1.0, stderr=0.3, samples_used=10, spec_digest="d", flags=(FLAG_UNSTABLE,))
+    assert _root(flagged, 2.0).flags == (FLAG_UNSTABLE,)
+    assert _root(replace(flagged, value=0.0), 2.0).flags == (FLAG_UNSTABLE,)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_headline_critical_norm_unbiased():
+    """The n = 3 critical norm of the gaussian at a = 0 lies within 4 chunk
+    stderrs of its closed form (pi/p*)^(n/(2 p*)) = 1.14690, unflagged.  It
+    reads about 0.5647 +- 0.0011: the proposal's fixed length scales 1 and
+    R = 50 sample the unit-width field almost nowhere."""
+    params = validate_params(3, 0.3, 2.0, 0.0)
+    est = norm_lpstar_a(gaussian_field(), params, QuadratureSpec(samples=262_144, seed=0))
+    exact = (np.pi / params.p_star) ** (params.n / (2.0 * params.p_star))
+    assert abs(est.value - exact) <= 4.0 * est.stderr
+    assert est.flags == ()
 
 
 def test_norm_report_shape(params1d, fast_spec):
@@ -193,10 +208,10 @@ def test_hat_lpstar_against_closed_form():
 FLAG_ORDER_CHILD = """
 from sobolev_wlab import verification, validate_params
 from sobolev_wlab.norms import NormReport, _root
-from sobolev_wlab.quadrature import FLAG_UNRELIABLE, FLAG_UNSTABLE, Estimate
-rooted = _root(Estimate(1.0, 0.9, 64, "d", flags=(FLAG_UNSTABLE,)), 2.0)
-semi = Estimate(1.0, 0.1, 64, "d", flags=(FLAG_UNRELIABLE, FLAG_UNSTABLE))
-lp = Estimate(1.0, 0.1, 64, "e", flags=(FLAG_UNSTABLE,))
+from sobolev_wlab.quadrature import FLAG_UNSTABLE, Estimate
+rooted = _root(Estimate(1.0, 0.9, 64, "d", flags=("b", FLAG_UNSTABLE)), 2.0)
+semi = Estimate(1.0, 0.1, 64, "d", flags=("a", FLAG_UNSTABLE))
+lp = Estimate(1.0, 0.1, 64, "e", flags=(FLAG_UNSTABLE, "b"))
 params = validate_params(1, 0.3, 2.0, 0.1)
 verification.norm_full = lambda u, p, spec: NormReport(semi, lp, 2.0, p, "f")
 print(rooted.flags, verification._full_norm_estimate(None, params, None).flags)
@@ -205,7 +220,8 @@ print(rooted.flags, verification._full_norm_estimate(None, params, None).flags)
 
 def test_flag_order_independent_of_hash_seed():
     """Merged flags keep their first-appearance order, so a record's flags
-    do not depend on string hashing."""
+    do not depend on string hashing.  "a" and "b" stand in for any flags
+    beside EstimateUnstable."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = set()
@@ -216,4 +232,4 @@ def test_flag_order_independent_of_hash_seed():
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         outputs.add(proc.stdout)
-    assert outputs == {"('EstimateUnstable', 'Unreliable') ('Unreliable', 'EstimateUnstable')\n"}
+    assert outputs == {"('b', 'EstimateUnstable') ('a', 'EstimateUnstable', 'b')\n"}

@@ -339,6 +339,30 @@ def test_estimate_roundtrip_dict():
     assert d["value"] == 1.0 and d["flags"] == ["x"]
 
 
+def test_one_instability_rule_for_every_estimate(monkeypatch):
+    """EstimateUnstable marks a nonzero value whose error bar exceeds a
+    quarter of |value|; the chunk fold and both oracles take their flags
+    from that one rule, each with its own error bar."""
+    flags = lambda value, stderr: quadrature._estimate(value, stderr, 64, "d").flags
+    assert flags(1.0, 0.25) == flags(0.0, 1.0) == ()
+    assert flags(1.0, 0.26) == flags(-1.0, 0.26) == (quadrature.FLAG_UNSTABLE,)
+    rule, seen = quadrature._estimate, []
+
+    def spy(value, stderr, samples_used, digest):
+        seen.append((value, stderr))
+        return rule(value, stderr, samples_used, digest)
+
+    monkeypatch.setattr(quadrature, "_estimate", spy)
+    oracle = QuadratureSpec(method=METHOD_TENSOR_ORACLE, grid_points=64)
+    ests = [
+        ball_average(lambda z: np.ones(len(z)), 1, 1.0, QuadratureSpec(samples=6400)),
+        oracle_weighted_integral_1d(lambda x: np.exp(-x[..., 0] ** 2), 0.5, 4.0, oracle),
+        oracle_pair_integral_1d(lambda x, y, d=None: np.exp(-x[..., 0] ** 2 - y[..., 0] ** 2),
+                                0.0, 0.0, 4.0, 8.0, oracle),
+    ]
+    assert seen == [(e.value, e.stderr) for e in ests]
+
+
 # ---------------------------------------------------------------------------
 # the pair estimators score each unordered pair of a symmetric g once
 

@@ -31,7 +31,7 @@ from sobolev_wlab import (
     zero_field,
 )
 from sobolev_wlab import smoothing, verification
-from sobolev_wlab.fields import PairField, default_cutoff, default_mollifier
+from sobolev_wlab.fields import PairField, default_mollifier
 from sobolev_wlab.norms import _pair_power_integral
 from sobolev_wlab.quadrature import METHOD_TENSOR_ORACLE, _ball_points, ball_average, pin_outer_radius
 from sobolev_wlab.verification import reciprocal_weight_integrand
@@ -165,14 +165,12 @@ def test_maximal_bound_refuses_the_oracle(params1d, oracle_spec, monkeypatch):
 def test_star_bound_degenerate_denominator(params1d, fast_spec):
     for kind in WeightKind:
         with pytest.raises(DegenerateDenominator):
-            check_convolution_bound(kind, zero_field(), params1d, default_mollifier(1), fast_spec, 128)
+            check_convolution_bound(kind, zero_field(), params1d, fast_spec, 128)
 
 
 def test_star_bound_point_case(params1d, fast_spec, monkeypatch):
     monkeypatch.setattr(verification, "CONVOLUTION_EPSILONS", (0.5, 0.1))
-    rep = check_convolution_bound(
-        WeightKind.POINT, gaussian_field(), params1d, default_mollifier(1), fast_spec, 96
-    )
+    rep = check_convolution_bound(WeightKind.POINT, gaussian_field(), params1d, fast_spec, 96)
     assert rep["verdict"] == "BoundedStable"
     assert all(v <= 1.25 for v in rep["details"]["ratios"].values())
 
@@ -213,7 +211,7 @@ def test_pair_bound_matches_the_star_route(n, spec, conv_grid, rel):
     here, and by 2.2e-5 on the 1,024 samples of the same seed."""
     params = validate_params(n, 0.3, 2.0, 0.1)
     u = smooth_bump_field(1.0)
-    rep = check_convolution_bound(WeightKind.PAIR, u, params, default_mollifier(n), spec, conv_grid)
+    rep = check_convolution_bound(WeightKind.PAIR, u, params, spec, conv_grid)
     star = _star_route_ratios(u, params, spec, conv_grid)
     assert rep["details"]["field"] == lift_difference_quotient(u, params).label
     assert rep["details"]["ratios"] == pytest.approx(star, rel=rel, abs=0.0)
@@ -227,8 +225,8 @@ def test_convolution_bound_negative_control(kind, params1d, monkeypatch):
     1.25 cap.  The module-level conv_nodes is patched, so no unit-mass node
     set of its cache is read."""
     spec = QuadratureSpec(samples=6400, seed=7)
-    u, eta = smooth_bump_field(1.0), default_mollifier(1)
-    assert check_convolution_bound(kind, u, params1d, eta, spec, 32)["verdict"] == "BoundedStable"
+    u = smooth_bump_field(1.0)
+    assert check_convolution_bound(kind, u, params1d, spec, 32)["verdict"] == "BoundedStable"
     unit_mass = smoothing.conv_nodes
 
     def heavy(*args):
@@ -236,45 +234,41 @@ def test_convolution_bound_negative_control(kind, params1d, monkeypatch):
         return z, 1.3 * w
 
     monkeypatch.setattr(smoothing, "conv_nodes", heavy)
-    rep = check_convolution_bound(kind, u, params1d, eta, spec, 32)
+    rep = check_convolution_bound(kind, u, params1d, spec, 32)
     assert rep["verdict"] == "Unstable"
     assert rep["details"]["ratios"]["0.1"] > 1.5
 
 
 def test_commutation_identity_all_catalog(params1d):
     for u in (smooth_bump_field(1.0), gaussian_field(), hat_1d_field()):
-        rep = check_commutation_identity(u, params1d, 0.2, 7, default_mollifier(1), 96)
+        rep = check_commutation_identity(u, params1d, 0.2, 7, 96)
         assert rep["verdict"] == "Pass"
         assert rep["max_residual"] < 1e-10
 
 
 def test_truncation_ladder_and_negative_control(params1d, fast_spec):
     u = polynomial_tail_field(3.0)
-    fwd = run_truncation_convergence(u, params1d, [1, 2, 4, 8], fast_spec, default_cutoff())
+    fwd = run_truncation_convergence(u, params1d, [1, 2, 4, 8], fast_spec)
     assert fwd["verdict"] == "Decreasing"
     assert fwd["errors"][-1].value <= 0.1 * fwd["errors"][0].value
-    rev = run_truncation_convergence(u, params1d, [8, 4, 2, 1], fast_spec, default_cutoff())
+    rev = run_truncation_convergence(u, params1d, [8, 4, 2, 1], fast_spec)
     assert rev["verdict"] == "NonMonotone"
 
 
 def test_truncation_exact_zero_for_compact_support(params1d, fast_spec):
     u = smooth_bump_field(1.0)
-    rep = run_truncation_convergence(u, params1d, [1, 2], fast_spec, default_cutoff())
+    rep = run_truncation_convergence(u, params1d, [1, 2], fast_spec)
     assert rep["errors"][0].value == 0.0  # tau_1 == 1 on supp u
     assert rep["verdict"] == "Decreasing"
 
 
 def test_mollification_ladder(params1d, fast_spec):
-    rep = run_mollification_convergence(
-        hat_1d_field(), params1d, [1, 0.5, 0.25, 0.1, 0.05], fast_spec, default_mollifier(1), 96
-    )
+    rep = run_mollification_convergence(hat_1d_field(), params1d, [1, 0.5, 0.25, 0.1, 0.05], fast_spec, 96)
     assert rep["verdict"] == "Decreasing"
 
 
 def test_mollification_zero_field(params1d, fast_spec):
-    rep = run_mollification_convergence(
-        zero_field(), params1d, [0.5, 0.25], fast_spec, default_mollifier(1), 64
-    )
+    rep = run_mollification_convergence(zero_field(), params1d, [0.5, 0.25], fast_spec, 64)
     assert all(e.value == 0.0 for e in rep["errors"])
     assert rep["verdict"] == "Decreasing"
 
@@ -299,7 +293,7 @@ def test_density_experiment_success(params1d, fast_spec):
 
     u = polynomial_tail_field(3.0)
     delta = 0.2 * norm_full(u, params1d, fast_spec).full
-    rep = run_density_experiment(u, params1d, delta, fast_spec, default_cutoff(), default_mollifier(1), 96)
+    rep = run_density_experiment(u, params1d, delta, fast_spec, 96)
     assert rep["verdict"] == "Success"
     assert rep["rho_support_radius"] <= 2 * rep["j"] + rep["epsilon"] + 1e-12
     assert rep["achieved_error_bound"] < delta
@@ -308,7 +302,7 @@ def test_density_experiment_success(params1d, fast_spec):
 def test_density_experiment_budget_failure(params1d, fast_spec, monkeypatch):
     monkeypatch.setattr(verification, "DENSITY_MAX_STEPS", 2)
     u = polynomial_tail_field(3.0)
-    rep = run_density_experiment(u, params1d, 1e-12, fast_spec, default_cutoff(), default_mollifier(1), 64)
+    rep = run_density_experiment(u, params1d, 1e-12, fast_spec, 64)
     assert rep["verdict"] == "FailureAtBudget"
     assert rep["max_steps"] == 2
 
@@ -336,10 +330,7 @@ def test_prop_4_5_energies_use_the_oracle(params1d, oracle_spec, monkeypatch):
     monkeypatch.setattr(verification, "CONVOLUTION_EPSILONS", (0.5,))
     u = smooth_bump_field(1.0)
     reps = [
-        check_convolution_bound(
-            WeightKind.POINT, u, params1d, default_mollifier(1),
-            replace(oracle_spec, samples=samples, seed=seed), 32,
-        )
+        check_convolution_bound(WeightKind.POINT, u, params1d, replace(oracle_spec, samples=samples, seed=seed), 32)
         for samples, seed in ((6400, 1), (64000, 2))
     ]
     assert reps[0]["details"] == reps[1]["details"]
